@@ -6,6 +6,7 @@ import (
 
 	"dejaview/internal/display"
 	"dejaview/internal/failpoint"
+	"dejaview/internal/playback"
 	"dejaview/internal/simclock"
 	"dejaview/internal/unionfs"
 	"dejaview/internal/vexec"
@@ -84,14 +85,15 @@ func (s *Session) ReviveCheckpointOpts(counter uint64, opts vexec.RestoreOptions
 	// display resources (§3).
 	w, h := s.disp.Size()
 	disp := display.NewServer(s.clock, w, h)
-	s.mu.Lock()
-	if screen, ok := s.displayState[img.Counter]; ok {
+	screen, err := s.checkpointScreen(img)
+	if err != nil {
+		return nil, err
+	}
+	if screen != nil {
 		if err := disp.RestoreScreen(screen); err != nil {
-			s.mu.Unlock()
 			return nil, err
 		}
 	}
-	s.mu.Unlock()
 
 	rs := &Revived{
 		parent:       s,
@@ -106,6 +108,29 @@ func (s *Session) ReviveCheckpointOpts(counter uint64, opts vexec.RestoreOptions
 	s.revived = append(s.revived, rs)
 	s.mu.Unlock()
 	return rs, nil
+}
+
+// checkpointScreen returns the screen as of checkpoint img, or nil for
+// a blank one. It renders the display record at the checkpoint time —
+// the same way an archived revive does — unless the session keeps the
+// snapshot fallback.
+func (s *Session) checkpointScreen(img *vexec.Image) (*display.Framebuffer, error) {
+	if !s.recordHoldsScreen {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.displayState[img.Counter], nil
+	}
+	s.mu.Lock()
+	cache := s.searchCache
+	s.mu.Unlock()
+	screen, err := playback.RenderAt(s.recorder.Store(), img.Time, cache)
+	if errors.Is(err, playback.ErrEmptyRecord) {
+		return nil, nil // nothing was ever drawn
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: revive: render screen at %v: %w", img.Time, err)
+	}
+	return screen, nil
 }
 
 // Revived lists the currently revived sessions.

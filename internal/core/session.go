@@ -113,9 +113,17 @@ type Session struct {
 	pol      *policy.Engine
 	cfg      Config
 
+	// recordHoldsScreen reports that the display record reproduces the
+	// screen exactly at any instant: recording is on, at the native
+	// resolution, and logs every command as it is flushed. A revive
+	// then renders the checkpointed screen from the record.
+	recordHoldsScreen bool
+
 	mu          sync.Mutex
 	searchCache *lru.Cache[int64, *display.Framebuffer]
-	// displayState saves the display server's screen at each
+	// displayState is the snapshot fallback for sessions whose record
+	// cannot reproduce the screen (recording disabled, rescaled, or
+	// frequency-limited): the display server's screen saved at each
 	// checkpoint, standing in for the virtual display server's process
 	// state being inside the checkpointed session (§3).
 	displayState map[uint64]*display.Framebuffer
@@ -174,6 +182,8 @@ func newSessionWithClock(cfg Config, clock *simclock.Clock) *Session {
 		cfg:          cfg,
 		searchCache:  lru.New[int64, *display.Framebuffer](cfg.SearchCacheSize),
 		displayState: make(map[uint64]*display.Framebuffer),
+		recordHoldsScreen: !cfg.DisableDisplayRecording && cfg.Record.MinLogInterval == 0 &&
+			recW == cfg.Width && recH == cfg.Height,
 	}
 	return s
 }
@@ -281,16 +291,25 @@ func (s *Session) Tick() (policy.Reason, *vexec.CheckpointResult, error) {
 }
 
 // Checkpoint forces a checkpoint now, regardless of policy.
+//
+// The virtual display server runs inside the session, so its state is
+// part of every checkpoint (§3). Queued output is flushed first: the
+// checkpointed screen is then exactly the record's screen at the
+// checkpoint time, which is where a revive reads it from. Only under
+// the snapshot fallback is the screen copied here.
 func (s *Session) Checkpoint() (*vexec.CheckpointResult, error) {
+	if _, err := s.disp.Flush(); err != nil {
+		return nil, err
+	}
 	res, err := s.ckpt.Checkpoint()
 	if err != nil {
 		return nil, err
 	}
-	// The virtual display server runs inside the session, so its state
-	// is saved with every checkpoint (§3).
-	s.mu.Lock()
-	s.displayState[res.Image.Counter] = s.disp.Screen()
-	s.mu.Unlock()
+	if !s.recordHoldsScreen {
+		s.mu.Lock()
+		s.displayState[res.Image.Counter] = s.disp.Screen()
+		s.mu.Unlock()
+	}
 	return res, nil
 }
 

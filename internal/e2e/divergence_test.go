@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"dejaview/internal/core"
+	"dejaview/internal/index"
+	"dejaview/internal/vexec"
 )
 
 // Replay-divergence harness in the rr tradition: the whole point of a
@@ -64,8 +66,40 @@ func archiveFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// multiProcScenario has every application's process dirty pages each
+// step, so each incremental checkpoint captures pages of several
+// processes: their order in the image must not follow map iteration.
+func multiProcScenario() *Scenario {
+	names := []string{"editor", "browser", "terminal"}
+	return &Scenario{
+		Name:    "multiproc",
+		Steps:   10,
+		Queries: []index.Query{{All: []string{"alpha"}}},
+		setup: func(d *driver) error {
+			for _, name := range names {
+				if err := d.app(name, name); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		step: func(d *driver, i int) error {
+			if err := d.act(names[i%len(names)], i); err != nil {
+				return err
+			}
+			for k, name := range names {
+				addr := d.mem[name] + uint64((i+k)%32)*vexec.PageSize
+				if err := d.procs[name].Mem().Write(addr, []byte(name+" "+word(i+k))); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+}
+
 func TestReplayDivergence(t *testing.T) {
-	for _, sc := range Scenarios() {
+	for _, sc := range append(Scenarios(), multiProcScenario()) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			s1, err := Build(sc, core.Config{})

@@ -54,6 +54,8 @@ type driver struct {
 	text  map[string]*access.Component
 	procs map[string]*vexec.Process
 	mem   map[string]uint64
+	// onCheckpoint, when set, runs after every checkpoint a tick takes.
+	onCheckpoint func(s *core.Session, res *vexec.CheckpointResult)
 }
 
 func word(i int) string { return vocab[i%len(vocab)] }
@@ -125,8 +127,12 @@ func filepathDir(p string) string {
 
 // tick runs the checkpoint policy and advances virtual time one second.
 func (d *driver) tick() error {
-	if _, _, err := d.s.Tick(); err != nil {
+	_, res, err := d.s.Tick()
+	if err != nil {
 		return err
+	}
+	if res != nil && d.onCheckpoint != nil {
+		d.onCheckpoint(d.s, res)
 	}
 	d.s.Clock().Advance(simclock.Second)
 	return nil
@@ -302,12 +308,19 @@ func ScenarioByName(name string) (*Scenario, error) {
 // script is fully deterministic: two Build calls produce identical
 // records.
 func Build(sc *Scenario, cfg core.Config) (*core.Session, error) {
+	return build(sc, cfg, nil)
+}
+
+// build is Build with a hook run after every checkpoint the script's
+// ticks take (nil for none).
+func build(sc *Scenario, cfg core.Config, onCheckpoint func(*core.Session, *vexec.CheckpointResult)) (*core.Session, error) {
 	d := &driver{
-		s:     core.NewSession(cfg),
-		apps:  map[string]*access.Application{},
-		text:  map[string]*access.Component{},
-		procs: map[string]*vexec.Process{},
-		mem:   map[string]uint64{},
+		s:            core.NewSession(cfg),
+		apps:         map[string]*access.Application{},
+		text:         map[string]*access.Component{},
+		procs:        map[string]*vexec.Process{},
+		mem:          map[string]uint64{},
+		onCheckpoint: onCheckpoint,
 	}
 	if sc.setup != nil {
 		if err := sc.setup(d); err != nil {

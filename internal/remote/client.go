@@ -119,11 +119,11 @@ func NewClientSession(rw io.ReadWriteCloser, sessionID string) (*Client, error) 
 	}
 	hello := encodeClientHello(clientHello{MinVersion: 1, MaxVersion: Version, SessionID: sessionID})
 	if err := viewer.WriteFrame(rw, FrameClientHello, hello); err != nil {
-		return nil, fmt.Errorf("remote: hello: %w", err)
+		return nil, fmt.Errorf("remote: hello: %w", transportErr(err))
 	}
 	kind, payload, err := viewer.ReadFrame(rw)
 	if err != nil {
-		return nil, fmt.Errorf("remote: hello: %w", err)
+		return nil, fmt.Errorf("remote: hello: %w", transportErr(err))
 	}
 	switch kind {
 	case FrameServerHello:
@@ -377,7 +377,18 @@ func (c *Client) await(op string, ch chan respMsg) (respMsg, error) {
 func (c *Client) writeFrame(kind byte, payload []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return viewer.WriteFrame(c.nc, kind, payload)
+	return transportErr(viewer.WriteFrame(c.nc, kind, payload))
+}
+
+// transportErr wraps a failed frame read or write in ErrConnClosed, as
+// the demultiplexer does: a broken pipe or reset means the connection is
+// gone. The transport error stays in the chain. Protocol violations (an
+// oversized or malformed frame) keep their own type.
+func transportErr(err error) error {
+	if err == nil || errors.Is(err, viewer.ErrProtocol) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrConnClosed, err)
 }
 
 // Search runs a query against the daemon's live session index.

@@ -607,3 +607,48 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// failingWrites is a client transport whose writes start failing with a
+// broken pipe once broken is set.
+type failingWrites struct {
+	net.Conn
+	mu     sync.Mutex
+	broken bool
+}
+
+func (f *failingWrites) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	broken := f.broken
+	f.mu.Unlock()
+	if broken {
+		return 0, &net.OpError{Op: "write", Net: "tcp", Err: errors.New("broken pipe")}
+	}
+	return f.Conn.Write(p)
+}
+
+// TestWriteFailureWrapsConnClosed breaks the transport under a live
+// client: the next request fails on its own write, before the
+// demultiplexer notices anything, and must still surface as
+// ErrConnClosed with the transport error kept in the chain.
+func TestWriteFailureWrapsConnClosed(t *testing.T) {
+	s := newSession(t, 1)
+	srv := startServer(t, Options{Session: s})
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := &failingWrites{Conn: nc}
+	c, err := NewClient(fw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fw.mu.Lock()
+	fw.broken = true
+	fw.mu.Unlock()
+	_, err = c.Search(index.Query{All: []string{"remote"}})
+	var opErr *net.OpError
+	if !errors.Is(err, ErrConnClosed) || !errors.As(err, &opErr) {
+		t.Errorf("write failure surfaced as %v, want ErrConnClosed wrapping the transport error", err)
+	}
+}

@@ -1,10 +1,10 @@
 package vexec
 
 import (
-	"bytes"
 	"compress/flate"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -96,10 +96,15 @@ type Image struct {
 
 	pages []imagePage
 	// MemBytes is the captured page payload; MetaBytes the per-process
-	// metadata; CompressedBytes the (estimated) gzip size of the image.
-	MemBytes        int64
-	MetaBytes       int64
-	CompressedBytes int64
+	// metadata.
+	MemBytes  int64
+	MetaBytes int64
+
+	// compressed is the estimated gzip size of the image. A live
+	// checkpoint computes it after the processes resume (Phase 6); est
+	// is held until then, so every reader waits on it first.
+	compressed int64
+	est        sync.WaitGroup
 
 	// cached models page-cache residency for revive experiments.
 	cached bool
@@ -107,6 +112,13 @@ type Image struct {
 
 // TotalBytes reports the on-disk image size.
 func (im *Image) TotalBytes() int64 { return im.MemBytes + im.MetaBytes }
+
+// CompressedBytes reports the estimated gzip size of the image, waiting
+// for the overlapped estimate if it is still running.
+func (im *Image) CompressedBytes() int64 {
+	im.est.Wait()
+	return im.compressed
+}
 
 // Pages reports the number of captured pages.
 func (im *Image) Pages() int { return len(im.pages) }
@@ -186,6 +198,9 @@ type Checkpointer struct {
 	stats   CkptStats
 	bufEst  int64
 	recent  []int64 // recent image sizes for buffer estimation
+	// estimating lists the images whose overlapped size estimate is not
+	// yet folded into stats.CompressedBytes (joinEstimatesLocked).
+	estimating []*Image
 
 	// Lazy-open state (LoadImagesLazy): pages whose data has not been
 	// read yet, keyed to their pool index, plus the demand-load source.
@@ -238,14 +253,11 @@ func (ck *Checkpointer) Checkpoint() (*CheckpointResult, error) {
 
 	// Phase 3 (downtime): quiesce — stop all processes.
 	k.mu.Lock()
-	nProcs := 0
-	for _, p := range ck.cont.procs {
-		if p.state != StateZombie {
-			p.signalLocked(SIGSTOP)
-			nProcs++
-		}
+	procs := ck.liveProcsLocked()
+	for _, p := range procs {
+		p.signalLocked(SIGSTOP)
 	}
-	res.Quiesce = simclock.Time(nProcs) * ck.costs.PerProcQuiesce
+	res.Quiesce = simclock.Time(len(procs)) * ck.costs.PerProcQuiesce
 
 	// Phase 4 (downtime): capture process metadata and COW page refs.
 	ck.counter++
@@ -257,10 +269,7 @@ func (ck *Checkpointer) Checkpoint() (*CheckpointResult, error) {
 	}
 	var regions, pages int
 	maxGen := ck.lastGen
-	for _, p := range ck.cont.procs {
-		if p.state == StateZombie {
-			continue
-		}
+	for _, p := range procs {
 		pi, relinks := ck.captureProcLocked(p, img)
 		img.Procs = append(img.Procs, pi)
 		ck.stats.Relinks += relinks
@@ -276,7 +285,6 @@ func (ck *Checkpointer) Checkpoint() (*CheckpointResult, error) {
 		// Arm dirty tracking for the next incremental checkpoint.
 		p.mem.protectAll()
 	}
-	sort.Slice(img.Procs, func(i, j int) bool { return img.Procs[i].PID < img.Procs[j].PID })
 	img.MemBytes = int64(pages) * PageSize
 	img.MetaBytes = int64(len(img.Procs)) * 512
 	res.Capture = simclock.Time(regions)*ck.costs.PerRegionCapture +
@@ -296,8 +304,9 @@ func (ck *Checkpointer) Checkpoint() (*CheckpointResult, error) {
 
 	// Phase 6 (overlapped): deferred writeback from preallocated
 	// buffers. COW page immutability guarantees consistency even though
-	// processes already run again.
-	img.CompressedBytes = estimateCompressed(img)
+	// processes already run again, so the size estimate reads the pages
+	// on its own goroutine; every reader of it joins first.
+	ck.startEstimateLocked(img)
 	res.Writeback = ck.costs.writeTime(img.TotalBytes())
 	ck.accountBuffer(img.TotalBytes())
 
@@ -316,7 +325,6 @@ func (ck *Checkpointer) Checkpoint() (*CheckpointResult, error) {
 		ck.stats.FullCheckpoints++
 	}
 	ck.stats.TotalBytes += img.TotalBytes()
-	ck.stats.CompressedBytes += img.CompressedBytes
 	ck.stats.TotalDowntime += res.Downtime()
 	if d := res.Downtime(); d > ck.stats.MaxDowntime {
 		ck.stats.MaxDowntime = d
@@ -459,33 +467,100 @@ func (ck *Checkpointer) accountBuffer(size int64) {
 	ck.stats.BufferPrealloc = ck.bufEst
 }
 
+// maxEstimatesInFlight bounds the backlog of overlapped size estimates
+// when checkpoints outpace them (a tight checkpoint loop): the next
+// checkpoint joins the oldest beyond it. Only running estimates hold a
+// pooled writer; a queued one holds a goroutine stack.
+const maxEstimatesInFlight = 64
+
+// startEstimateLocked computes img's size estimate on a joined
+// goroutine and queues it for folding into the stats.
+func (ck *Checkpointer) startEstimateLocked(img *Image) {
+	for len(ck.estimating) >= maxEstimatesInFlight {
+		ck.foldEstimateLocked(ck.estimating[0])
+		ck.estimating = ck.estimating[1:]
+	}
+	img.est.Add(1)
+	go func() {
+		defer img.est.Done()
+		img.compressed = estimateCompressed(img)
+	}()
+	ck.estimating = append(ck.estimating, img)
+}
+
+// joinEstimatesLocked waits for every running size estimate and folds
+// each into the stats exactly once. Stats, SaveImagesOptions and Retain
+// call it before they read (or rewrite) the images.
+func (ck *Checkpointer) joinEstimatesLocked() {
+	for _, img := range ck.estimating {
+		ck.foldEstimateLocked(img)
+	}
+	ck.estimating = nil
+}
+
+func (ck *Checkpointer) foldEstimateLocked(img *Image) {
+	ck.stats.CompressedBytes += img.CompressedBytes()
+}
+
+// liveProcsLocked lists the container's non-zombie processes in PID
+// order: img.Procs and img.pages are serialized into the image stream,
+// and map iteration order would make two identical runs write different
+// archive bytes.
+func (ck *Checkpointer) liveProcsLocked() []*Process {
+	procs := make([]*Process, 0, len(ck.cont.procs))
+	for _, p := range ck.cont.procs {
+		if p.state != StateZombie {
+			procs = append(procs, p)
+		}
+	}
+	sort.Slice(procs, func(i, j int) bool { return procs[i].pid < procs[j].pid })
+	return procs
+}
+
+// estWriters recycles the estimator's flate writers (each holds about a
+// megabyte of compressor state).
+var estWriters = sync.Pool{New: func() any {
+	// NewWriter fails only for an invalid level; BestSpeed is valid.
+	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+	return w
+}}
+
+// byteCounter is an io.Writer that only counts.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
 // estimateCompressed estimates the gzip-compressed image size by
 // compressing a bounded sample of the page payload and extrapolating.
+// The sample is the leading pages up to sampleCap bytes, streamed into
+// the compressor page by page (BestSpeed output does not depend on how
+// its input is split into writes).
 func estimateCompressed(img *Image) int64 {
 	const sampleCap = 32 * PageSize
 	if img.MemBytes == 0 {
 		return img.MetaBytes / 4
 	}
-	var raw bytes.Buffer
+	var out byteCounter
+	w := estWriters.Get().(*flate.Writer)
+	defer estWriters.Put(w)
+	w.Reset(&out)
+	raw := 0
 	for _, ip := range img.pages {
-		//lint:ignore dropped-error bytes.Buffer.Write is documented to never return an error
-		raw.Write(ip.pg.data)
-		if raw.Len() >= sampleCap {
+		if _, err := w.Write(ip.pg.data); err != nil {
+			return img.TotalBytes()
+		}
+		raw += len(ip.pg.data)
+		if raw >= sampleCap {
 			break
 		}
-	}
-	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
-		return img.TotalBytes()
-	}
-	if _, err := w.Write(raw.Bytes()); err != nil {
-		return img.TotalBytes()
 	}
 	if err := w.Close(); err != nil {
 		return img.TotalBytes()
 	}
-	ratio := float64(out.Len()) / float64(raw.Len())
+	ratio := float64(out) / float64(raw)
 	return int64(ratio*float64(img.MemBytes)) + img.MetaBytes/4
 }
 
@@ -550,6 +625,7 @@ func (ck *Checkpointer) DropCaches() {
 func (ck *Checkpointer) Stats() CkptStats {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
+	ck.joinEstimatesLocked()
 	return ck.stats
 }
 
@@ -564,31 +640,16 @@ func (ck *Checkpointer) CheckpointNaive() (*CheckpointResult, error) {
 	res := &CheckpointResult{}
 
 	k.mu.Lock()
-	nProcs := 0
-	for _, p := range ck.cont.procs {
-		if p.state != StateZombie {
-			p.signalLocked(SIGSTOP)
-			nProcs++
-		}
+	procs := ck.liveProcsLocked()
+	for _, p := range procs {
+		p.signalLocked(SIGSTOP)
 	}
-	res.Quiesce = simclock.Time(nProcs) * ck.costs.PerProcQuiesce
+	res.Quiesce = simclock.Time(len(procs)) * ck.costs.PerProcQuiesce
 
 	ck.counter++
 	img := &Image{Counter: ck.counter, Time: k.clock.Now(), Full: true, Parent: ck.last}
-	// Capture processes in PID order: img.Procs and img.pages are
-	// serialized into the image stream, and map iteration order would
-	// make two identical runs write different archive bytes.
-	pids := make([]PID, 0, len(ck.cont.procs))
-	for pid := range ck.cont.procs {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	var totalBytes int64
-	for _, pid := range pids {
-		p := ck.cont.procs[pid]
-		if p.state == StateZombie {
-			continue
-		}
+	for _, p := range procs {
 		pi, _ := ck.captureProcLocked(p, img)
 		img.Procs = append(img.Procs, pi)
 		cap := p.mem.capture(true, 0)
@@ -618,7 +679,8 @@ func (ck *Checkpointer) CheckpointNaive() (*CheckpointResult, error) {
 	k.clock.Advance(res.Downtime())
 	ck.cont.SignalAll(SIGCONT)
 
-	img.CompressedBytes = estimateCompressed(img)
+	// The stop-and-copy baseline keeps the estimate in line.
+	img.compressed = estimateCompressed(img)
 	img.cached = true
 	ck.images[img.Counter] = img
 	ck.order = append(ck.order, img.Counter)

@@ -347,9 +347,9 @@ func TestCheckpointCompressedSmallerForText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Image.CompressedBytes >= res.Image.MemBytes/2 {
+	if res.Image.CompressedBytes() >= res.Image.MemBytes/2 {
 		t.Errorf("compressed %d vs raw %d: text should compress well",
-			res.Image.CompressedBytes, res.Image.MemBytes)
+			res.Image.CompressedBytes(), res.Image.MemBytes)
 	}
 }
 

@@ -72,17 +72,19 @@ func (ck *Checkpointer) RestoreOpts(counter uint64, restoredFS FileSystem, opts 
 	pageMap, chain := collectPages(img)
 	// Lazily opened chains demand-load page bytes now — only the pages
 	// the consulted chain actually references, which is what makes a
-	// lazy archive open cheaper than an eager one.
+	// lazy archive open cheaper than an eager one. Fetching in payload
+	// order walks the compressed blocks front to back, so each block
+	// decodes once even when the chain outgrows the block cache.
 	if len(ck.lazyIdx) > 0 {
 		var lazy []*page
 		for _, m := range pageMap {
 			for _, pg := range m {
 				if pg.data == nil {
-					//lint:ignore map-order per-page materialization is idempotent and commutative; only the fetch order varies
 					lazy = append(lazy, pg)
 				}
 			}
 		}
+		sort.Slice(lazy, func(i, j int) bool { return ck.lazyIdx[lazy[i]] < ck.lazyIdx[lazy[j]] })
 		if err := ck.materializeLocked(lazy); err != nil {
 			return nil, err
 		}

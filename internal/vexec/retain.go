@@ -61,6 +61,8 @@ func NewArchiveCheckpointer(costs CostModel, fullEvery int) *Checkpointer {
 func (ck *Checkpointer) Retain(keep func(counter uint64) bool) int {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
+	// Folding rewrites image page lists the size estimates read.
+	ck.joinEstimatesLocked()
 	if len(ck.order) == 0 {
 		return 0
 	}

@@ -59,6 +59,7 @@ func (ck *Checkpointer) SaveImagesOptions(w io.Writer, o compress.Options) error
 	w = failpoint.Writer("vexec/images.write", w)
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
+	ck.joinEstimatesLocked()
 	o.BlockTable = true
 	zw, err := compress.NewWriter(w, o)
 	if err != nil {
@@ -105,7 +106,7 @@ func (ck *Checkpointer) SaveImagesOptions(w io.Writer, o compress.Options) error
 		bw.U64(uint64(img.FSEpoch))
 		bw.U64(uint64(img.MemBytes))
 		bw.U64(uint64(img.MetaBytes))
-		bw.U64(uint64(img.CompressedBytes))
+		bw.U64(uint64(img.compressed))
 		bw.Bool(img.cached)
 
 		bw.U32(uint32(len(img.Procs)))
@@ -219,7 +220,7 @@ func readImageMeta(br *binio.Reader) (*imageMeta, error) {
 		img.FSEpoch = lfs.Epoch(br.U64())
 		img.MemBytes = int64(br.U64())
 		img.MetaBytes = int64(br.U64())
-		img.CompressedBytes = int64(br.U64())
+		img.compressed = int64(br.U64())
 		img.cached = br.Bool()
 
 		nProcs := br.U32()
@@ -417,7 +418,7 @@ func (ck *Checkpointer) loadImagesV1(br *binio.Reader) error {
 		img.FSEpoch = lfs.Epoch(br.U64())
 		img.MemBytes = int64(br.U64())
 		img.MetaBytes = int64(br.U64())
-		img.CompressedBytes = int64(br.U64())
+		img.compressed = int64(br.U64())
 		img.cached = br.Bool()
 
 		nProcs := br.U32()

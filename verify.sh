@@ -2,8 +2,9 @@
 # verify.sh — the full pre-merge gauntlet, in cost order: tier-1 build
 # and tests first, then vet, then dvlint (the project's own static
 # analysis; see DESIGN.md, "Static analysis"), then the race detector
-# over the concurrency hot spots listed in ROADMAP.md, then a bench
-# regression gate against the committed storage baseline. Fails fast.
+# over the concurrency hot spots listed in ROADMAP.md, then the steady
+# benchmark module's vet and tests, then a bench regression gate against
+# the committed storage baseline. Fails fast.
 #
 # `verify.sh -quick` runs only the tier-1 gates (build, test, vet) —
 # the inner-loop check while iterating; the full gauntlet stays the
@@ -41,6 +42,12 @@ go test -race \
 	./internal/tier/... \
 	./internal/obs/... \
 	./internal/lint/...
+
+# The steady benchmark (_perf/) is its own module, outside the root
+# `./...`: vet it and run its own tests — the correctness checks its
+# workloads make and the consistency of its traced and untraced passes.
+go -C _perf vet ./...
+go -C _perf test .
 
 # Bench gate: re-measure a cheap storage subset and diff it against the
 # committed baseline (BENCH_storage.json, written by
