@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -133,13 +134,14 @@ func codecLine(path string) string {
 	if err != nil {
 		return "unreadable: " + err.Error()
 	}
-	if !compress.IsFrame(b) {
-		return fmt.Sprintf("raw v1 (%d bytes)", len(b))
-	}
-	st, err := compress.Stats(b)
+	ff, err := compress.OpenStream(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		return "corrupt frame: " + err.Error()
 	}
+	if !ff.Framed() {
+		return fmt.Sprintf("raw v1 (%d bytes)", len(b))
+	}
+	st := ff.Stats()
 	line := fmt.Sprintf("%d blocks:", st.Blocks)
 	for _, name := range []string{"raw", "lzs", "flate"} {
 		if n := st.PerCodec[name]; n > 0 {

@@ -20,10 +20,11 @@ import (
 type CompactRow struct {
 	Scenario    string
 	Checkpoints int
-	// EagerOpenSeconds / LazyOpenSeconds time core.OpenArchiveEager vs
-	// the default lazy core.OpenArchive on the same (uncompacted)
-	// archive; EagerBlocks / LazyBlocks are the compressed blocks each
-	// open decoded (compress.blocks_unpacked delta).
+	// EagerOpenSeconds times core.OpenArchive followed by materializing
+	// every stream (the whole screenshot log and every checkpoint page);
+	// LazyOpenSeconds times core.OpenArchive alone, on the same
+	// (uncompacted) archive. EagerBlocks / LazyBlocks are the compressed
+	// blocks each decoded (compress.blocks_unpacked delta).
 	EagerOpenSeconds float64
 	LazyOpenSeconds  float64
 	EagerBlocks      uint64
@@ -104,8 +105,15 @@ func runCompactOnce(sc *e2e.Scenario) (CompactRow, error) {
 
 	base := obs.Default.Snapshot()
 	sec, err := hostSeconds(func() error {
-		_, err := core.OpenArchiveEager(dir)
-		return err
+		a, err := core.OpenArchive(dir)
+		if err != nil {
+			return err
+		}
+		defer a.Close()
+		if err := a.Store.Materialize(); err != nil {
+			return err
+		}
+		return a.Checkpointer().Materialize()
 	})
 	if err != nil {
 		return row, err

@@ -85,6 +85,7 @@ func (bw *Writer) Blob(b []byte) {
 // Reader is an error-sticky little-endian reader.
 type Reader struct {
 	r   *bufio.Reader
+	n   int64 // bytes consumed
 	err error
 	// Limit caps individual Blob/String allocations.
 	Limit uint32
@@ -119,8 +120,13 @@ func (br *Reader) Bytes(n int) []byte {
 		br.err = err
 		return nil
 	}
+	br.n += int64(n)
 	return b
 }
+
+// Offset reports how many bytes the reader has consumed: the stream
+// position of the next read, read-ahead buffering notwithstanding.
+func (br *Reader) Offset() int64 { return br.n }
 
 // U8 reads one byte.
 func (br *Reader) U8() uint8 {

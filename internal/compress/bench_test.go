@@ -28,26 +28,6 @@ func BenchmarkCompressParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkDecompressParallel measures Unpack throughput at increasing
-// worker counts over the same corpus.
-func BenchmarkDecompressParallel(b *testing.B) {
-	frame, err := Pack(benchData, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(benchData)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := UnpackWorkers(frame, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCodecs compares pack/unpack throughput and ratio per codec on
 // the same corpus; this is the microbench behind the LZS acceptance bar
 // (LZS and auto must beat flate on pack throughput at comparable ratio).

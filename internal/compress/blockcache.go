@@ -10,9 +10,10 @@ package compress
 //
 // Each FrameFile gets a process-unique id at open, so one cache serves
 // many frames without key collisions. Cached slices are shared: the only
-// readers are FrameFile.ReadAt (which copies out into the caller's
-// buffer) and FrameFile.Block (which returns a defensive copy), so a
-// mutating caller can never corrupt a resident block.
+// readers are FrameFile.ReadAt and FrameFile.ReadRange (which copy out
+// into the caller's buffer) and FrameFile.Block (which returns a
+// defensive copy), so a mutating caller can never corrupt a resident
+// block.
 
 import (
 	"sync/atomic"
@@ -96,6 +97,13 @@ func (bc *BlockCache) get(file uint64, idx int) ([]byte, bool) {
 		bc.onHit(1)
 	}
 	return blk, ok
+}
+
+// peek returns the resident decoded block without counting a hit or
+// refreshing its recency: whole-stream reads copy resident blocks but
+// leave the cache exactly as they found it.
+func (bc *BlockCache) peek(file uint64, idx int) ([]byte, bool) {
+	return bc.c.Peek(blockKey{file, idx})
 }
 
 // put inserts a freshly decoded block at its byte cost, bumping the miss

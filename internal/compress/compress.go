@@ -8,10 +8,9 @@
 // while any single corrupt block is detected rather than silently
 // decoded.
 //
-// Two entry points cover the two storage shapes: Pack/Unpack for
-// in-memory streams (the display record's command, screenshot, and
-// timeline logs) and Writer/Reader for io-streamed archives (checkpoint
-// image chains, the text index, the file system log).
+// Pack (in memory) and Writer (io-streamed) write frames; FrameFile
+// (table.go) is the one reader, for whole-stream loads and demand reads
+// alike. OpenStream tells a frame from a raw v1 stream.
 package compress
 
 import (
@@ -108,18 +107,12 @@ func hasMagic(b []byte) bool {
 		b[2] == frameMagic[2] && b[3] == frameMagic[3]
 }
 
-// IsFrame reports whether b begins with a compress frame header, i.e.
-// was written by Pack or Writer rather than being a raw v1 stream.
-func IsFrame(b []byte) bool {
-	return len(b) >= headerSize && hasMagic(b)
-}
-
 // FrameCodec reports the frame-level codec id recorded in a frame
 // header (CodecAuto for adaptive frames). It reads only the header, so
 // callers can cheaply decide whether a stream already uses the codec
 // they would rewrite it with.
 func FrameCodec(b []byte) (uint8, error) {
-	if !IsFrame(b) {
+	if len(b) < headerSize || !hasMagic(b) {
 		return 0, fmt.Errorf("%w: not a frame", ErrCorrupt)
 	}
 	if b[4] != frameVersion {
@@ -143,10 +136,9 @@ type Options struct {
 	Workers int
 
 	// BlockTable appends a seekable block-offset table after the frame
-	// terminator (see table.go): sequential readers never see it, while
-	// FrameFile uses it to demand-decode individual blocks for lazy
-	// archive opens. All current savers enable it; older table-less
-	// frames keep opening via the sequential path.
+	// terminator (see table.go), so FrameFile opens without walking the
+	// block headers. All current savers enable it; older table-less
+	// frames open through the header walk.
 	BlockTable bool
 
 	// codecSet distinguishes an explicit CodecRaw from the zero value.

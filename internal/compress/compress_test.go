@@ -184,15 +184,14 @@ func TestStreamRoundtrip(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("chunk=%d: Unpack of streamed frame failed: %v", chunk, err)
 		}
-		zr, err := NewReader(bytes.NewReader(buf.Bytes()), 4)
+		ff, err := OpenFrameBytes(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = io.ReadAll(zr)
+		got, err = io.ReadAll(ff.SequentialReader())
 		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("chunk=%d: streamed read failed: %v", chunk, err)
+			t.Fatalf("chunk=%d: demand read failed: %v", chunk, err)
 		}
-		zr.Close()
 	}
 }
 
@@ -211,34 +210,12 @@ func TestStreamEmpty(t *testing.T) {
 	}
 }
 
-func TestReaderEarlyClose(t *testing.T) {
-	data := corpus(8*64<<10, 8)
-	var buf bytes.Buffer
-	zw, _ := NewWriter(&buf, Options{BlockSize: 64 << 10})
-	zw.Write(data)
-	zw.Close()
-	zr, err := NewReader(bytes.NewReader(buf.Bytes()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var one [10]byte
-	if _, err := zr.Read(one[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := zr.Close(); err != nil { // abandon mid-stream; must not hang or leak
-		t.Fatal(err)
-	}
-}
-
+// TestReaderTruncated: a frame cut mid-stream never reads back as a
+// shorter stream through MaybeReader.
 func TestReaderTruncated(t *testing.T) {
 	data := corpus(300_000, 10)
 	frame, _ := Pack(data, Options{BlockSize: 64 << 10})
-	zr, err := NewReader(bytes.NewReader(frame[:len(frame)/2]), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zr.Close()
-	if _, err := io.ReadAll(zr); !errors.Is(err, ErrCorrupt) {
+	if _, err := MaybeReader(bytes.NewReader(frame[:len(frame)/2])); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 }

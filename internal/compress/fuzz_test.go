@@ -15,19 +15,30 @@ func seededNoise(n int) []byte {
 	return b
 }
 
-// FuzzUnpackFrame throws arbitrary bytes at the two frame decoders.
-// Invariants: neither Unpack nor the streaming Reader may panic or
-// allocate unboundedly on hostile input (the block-header plausibility
-// checks run before any allocation), and whenever Unpack accepts a
-// frame, the streaming Reader must accept it too and produce identical
-// bytes.
+// FuzzUnpackFrame throws arbitrary bytes at the frame reader: open the
+// frame (block table or header scan), then read the whole stream.
+// Invariants: neither may panic or allocate unboundedly on hostile
+// input (the block plausibility checks run before any allocation), and
+// whenever the whole-stream read accepts a frame, a demand read through
+// the block cache must produce identical bytes.
+//
+// Seeds come in pairs: a table-bearing frame and its TrimTable'd twin,
+// so both the table parser and the header scan get fuzzed.
 //
 // Run a short smoke locally with:
 //
 //	go test ./internal/compress/ -run=NONE -fuzz=FuzzUnpackFrame -fuzztime=10s
 func FuzzUnpackFrame(f *testing.F) {
-	// Seeds: well-formed frames across codecs and shapes, plus a
-	// classic hostile header claiming a huge expansion.
+	addPair := func(data []byte, o Options) {
+		o.BlockTable = true
+		frame, err := Pack(data, o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(TrimTable(frame))
+	}
+	// Well-formed frames across codecs and shapes.
 	for _, data := range [][]byte{
 		nil,
 		[]byte("hello frame"),
@@ -35,54 +46,37 @@ func FuzzUnpackFrame(f *testing.F) {
 		make([]byte, 4096), // all-zero: compresses hard
 	} {
 		for _, codec := range []uint8{CodecRaw, CodecFlate, CodecLZS, CodecAuto} {
-			frame, err := Pack(data, Options{}.WithCodec(codec))
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(frame)
+			addPair(data, Options{}.WithCodec(codec))
 		}
 	}
 	// Multi-block frames: default codec and an adaptive frame with mixed
 	// per-block codec bits (lzs + raw blocks in one frame).
-	big, err := Pack(bytes.Repeat([]byte{1, 2, 3}, 10000), Options{BlockSize: 1024})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(big)
+	addPair(bytes.Repeat([]byte{1, 2, 3}, 10000), Options{BlockSize: 1024})
 	mixed := append(bytes.Repeat([]byte("pane line "), 512), seededNoise(4096)...)
-	autoFrame, err := Pack(mixed, Options{BlockSize: 4096, Codec: CodecAuto})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(autoFrame)
+	addPair(mixed, Options{BlockSize: 4096, Codec: CodecAuto})
 	// Header-only, truncated, and bomb-shaped inputs.
 	f.Add(appendHeader(nil, CodecFlate))
 	f.Add(appendBlockHeader(appendHeader(nil, CodecFlate), 0, 64<<20, 0))
 	f.Add([]byte("DVZB"))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		out, err := Unpack(frame)
+		ff, err := OpenFrameBytes(frame)
 		if err != nil {
-			// Rejected input must also be rejected (or at least not
-			// crash) on the streaming path.
-			if zr, rerr := NewReader(bytes.NewReader(frame), 2); rerr == nil {
-				_, _ = io.Copy(io.Discard, zr)
-				zr.Close()
-			}
 			return
 		}
-		// Accepted frames must stream-decode to the same bytes.
-		zr, err := NewReader(bytes.NewReader(frame), 2)
+		out, err := ff.ReadAll()
 		if err != nil {
-			t.Fatalf("Unpack accepted but NewReader rejected: %v", err)
+			// Rejected by the whole-stream read: the demand path must
+			// not crash either.
+			_, _ = io.Copy(io.Discard, ff.SequentialReader())
+			return
 		}
-		defer zr.Close()
-		streamed, err := io.ReadAll(zr)
+		demand, err := io.ReadAll(ff.SequentialReader())
 		if err != nil {
-			t.Fatalf("Unpack accepted but Reader failed: %v", err)
+			t.Fatalf("whole-stream read accepted but demand read failed: %v", err)
 		}
-		if !bytes.Equal(out, streamed) {
-			t.Fatalf("Unpack and Reader disagree: %d vs %d bytes", len(out), len(streamed))
+		if !bytes.Equal(out, demand) {
+			t.Fatalf("whole-stream and demand reads disagree: %d vs %d bytes", len(out), len(demand))
 		}
 		// And the decoded payload must re-pack/unpack cleanly.
 		refr, err := Pack(out, Options{})

@@ -128,14 +128,14 @@ func TestLZSDecompressCorrupt(t *testing.T) {
 func TestLZSFrameCodec(t *testing.T) {
 	data := corpus(3*DefaultBlockSize+999, 24)
 	frame := roundtrip(t, data, Options{}.WithCodec(CodecLZS))
-	st, err := Stats(frame)
+	ff, err := OpenFrameBytes(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Codec != CodecLZS || st.Blocks == 0 {
+	if st := ff.Stats(); st.Codec != CodecLZS || st.Blocks == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.PerCodec["lzs"] == 0 {
+	if st := ff.Stats(); st.PerCodec["lzs"] == 0 {
 		t.Fatalf("no lzs-coded blocks in an lzs frame: %+v", st.PerCodec)
 	}
 }
@@ -152,10 +152,11 @@ func TestAutoFrame(t *testing.T) {
 	}
 	data := append(append(bytes.Repeat([]byte("scroll line 42 "), 256<<10/15+1)[:256<<10], noise...), skew...)
 	frame := roundtrip(t, data, Options{BlockSize: 256 << 10, Codec: CodecAuto})
-	st, err := Stats(frame)
+	ff, err := OpenFrameBytes(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := ff.Stats()
 	if st.Codec != CodecAuto {
 		t.Fatalf("frame codec = %d, want CodecAuto", st.Codec)
 	}
@@ -219,11 +220,11 @@ func TestMatchLen(t *testing.T) {
 	}
 }
 
-// TestStatsRejectsCorrupt: the stats walker validates structure like the
-// decoders do.
+// TestStatsRejectsCorrupt: the block index Stats reads is validated like
+// the decoders validate blocks.
 func TestStatsRejectsCorrupt(t *testing.T) {
 	frame := roundtrip(t, corpus(100_000, 27), Options{})
-	if _, err := Stats(frame[:len(frame)-3]); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenFrameBytes(frame[:len(frame)-3]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated: %v", err)
 	}
 	// Nonzero codec bits in a single-codec frame are structural corruption.
@@ -231,7 +232,7 @@ func TestStatsRejectsCorrupt(t *testing.T) {
 	bad := append([]byte(nil), f2...)
 	compLen := binary.LittleEndian.Uint32(bad[headerSize:])
 	binary.LittleEndian.PutUint32(bad[headerSize:], compLen|uint32(CodecLZS)<<blockCodecShift)
-	if _, err := Stats(bad); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenFrameBytes(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("codec bits in flate frame: %v", err)
 	}
 	if _, err := Unpack(bad); !errors.Is(err, ErrCorrupt) {

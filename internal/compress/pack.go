@@ -10,10 +10,10 @@ import (
 )
 
 // Registry instruments for the block pipeline. Every block that goes
-// through Pack/Writer bumps blocks_packed, every block through
-// Unpack/Reader bumps blocks_unpacked — so for any saved-then-reopened
-// artifact the two deltas must agree, which the e2e metrics-regression
-// test locks in.
+// through Pack/Writer bumps blocks_packed, every block FrameFile decodes
+// bumps blocks_unpacked — so for any saved-then-reopened artifact the
+// two deltas must agree, which the e2e metrics-regression test locks
+// in. unpack_ms times whole-stream reads.
 var (
 	obsBlocksPacked   = obs.Default.Counter("compress.blocks_packed")
 	obsBlocksUnpacked = obs.Default.Counter("compress.blocks_unpacked")
@@ -120,92 +120,17 @@ func Pack(data []byte, o Options) ([]byte, error) {
 	return out, nil
 }
 
-// Unpack decodes a frame produced by Pack (or Writer), decompressing
-// blocks in parallel and verifying every block's CRC32. It returns
-// ErrCorrupt (possibly wrapped) for truncated frames, bad magic, CRC
-// mismatches, and implausible block lengths.
+// Unpack decodes a frame produced by Pack (or Writer) in one
+// whole-stream read, decompressing blocks in parallel and verifying
+// every block's CRC32. It returns ErrCorrupt (possibly wrapped) for
+// truncated frames, bad magic, CRC mismatches, and implausible block
+// lengths.
 func Unpack(frame []byte) ([]byte, error) {
-	return UnpackWorkers(frame, 0)
-}
-
-// UnpackWorkers is Unpack with an explicit worker count (0 = GOMAXPROCS).
-func UnpackWorkers(frame []byte, workers int) ([]byte, error) {
-	t0 := obs.StartTimer()
-	defer t0.Done(obsUnpackMS)
-	codecID, body, err := parseHeader(frame)
+	f, err := OpenFrameBytes(frame)
 	if err != nil {
 		return nil, err
 	}
-	frameC, err := frameDecoder(codecID)
-	if err != nil {
-		return nil, err
-	}
-
-	// First pass: walk the block headers to find the coded extents and
-	// output offsets, validating lengths before any allocation.
-	type extent struct {
-		comp   []byte
-		rawOff int
-		rawLen int
-		crc    uint32
-		codec  Codec // nil for stored blocks
-	}
-	var extents []extent
-	rawTotal := 0
-	for {
-		compLen, rawLen, crc, rest, err := parseBlockHeader(body)
-		if err != nil {
-			return nil, err
-		}
-		body = rest
-		if rawLen == 0 {
-			if compLen != 0 || crc != 0 {
-				return nil, fmt.Errorf("%w: malformed terminator", ErrCorrupt)
-			}
-			break
-		}
-		n, dec, err := resolveBlock(codecID, frameC, compLen, rawLen)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(n) > uint64(len(body)) {
-			return nil, fmt.Errorf("%w: truncated block: %d coded bytes, %d remain", ErrCorrupt, n, len(body))
-		}
-		extents = append(extents, extent{
-			comp:   body[:n],
-			rawOff: rawTotal,
-			rawLen: int(rawLen),
-			crc:    crc,
-			codec:  dec,
-		})
-		rawTotal += int(rawLen)
-		body = body[n:]
-	}
-
-	// Second pass: decompress blocks in parallel into disjoint ranges of
-	// one output allocation.
-	out := make([]byte, rawTotal)
-	if workers <= 0 {
-		workers = Options{}.withDefaults().Workers
-	}
-	decodeBlock := func(i int) error {
-		e := extents[i]
-		dst := out[e.rawOff : e.rawOff+e.rawLen]
-		if e.codec == nil {
-			copy(dst, e.comp)
-		} else if err := e.codec.Decompress(dst, e.comp); err != nil {
-			return fmt.Errorf("block %d: %w", i, err)
-		}
-		if got := crc32.ChecksumIEEE(dst); got != e.crc {
-			return fmt.Errorf("%w: block %d CRC mismatch: %#08x != %#08x", ErrCorrupt, i, got, e.crc)
-		}
-		return nil
-	}
-	if err := runBlocks(len(extents), workers, decodeBlock); err != nil {
-		return nil, err
-	}
-	obsBlocksUnpacked.Add(uint64(len(extents)))
-	return out, nil
+	return f.ReadAll()
 }
 
 // frameDecoder resolves a frame-header codec id to the codec decoding
@@ -257,8 +182,8 @@ func resolveBlock(frameID uint8, frameC Codec, compLen, rawLen uint32) (n uint32
 
 // FrameStats summarizes a frame without decoding any payload: the header
 // codec id and how many blocks each codec actually coded. Stored blocks
-// (verbatim bytes) count under "raw". Golden-format tests and dvbench
-// use it to see what an adaptive frame actually chose.
+// (verbatim bytes) count under "raw". Golden-format tests and dvgc use
+// it (FrameFile.Stats) to see what an adaptive frame actually chose.
 type FrameStats struct {
 	// Codec is the frame-header codec id (CodecAuto for adaptive frames).
 	Codec uint8
@@ -267,47 +192,6 @@ type FrameStats struct {
 	// PerCodec maps codec name ("raw", "lzs", "flate") to blocks coded
 	// with it.
 	PerCodec map[string]int
-}
-
-// Stats walks frame's block headers and reports the per-codec block
-// distribution, validating structure as it goes.
-func Stats(frame []byte) (*FrameStats, error) {
-	codecID, body, err := parseHeader(frame)
-	if err != nil {
-		return nil, err
-	}
-	frameC, err := frameDecoder(codecID)
-	if err != nil {
-		return nil, err
-	}
-	st := &FrameStats{Codec: codecID, PerCodec: map[string]int{}}
-	for {
-		compLen, rawLen, crc, rest, err := parseBlockHeader(body)
-		if err != nil {
-			return nil, err
-		}
-		body = rest
-		if rawLen == 0 {
-			if compLen != 0 || crc != 0 {
-				return nil, fmt.Errorf("%w: malformed terminator", ErrCorrupt)
-			}
-			return st, nil
-		}
-		n, dec, err := resolveBlock(codecID, frameC, compLen, rawLen)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(n) > uint64(len(body)) {
-			return nil, fmt.Errorf("%w: truncated block: %d coded bytes, %d remain", ErrCorrupt, n, len(body))
-		}
-		name := "raw"
-		if dec != nil {
-			name = dec.Name()
-		}
-		st.PerCodec[name]++
-		st.Blocks++
-		body = body[n:]
-	}
 }
 
 // runBlocks runs fn(0..n-1) across up to workers goroutines and returns
@@ -365,7 +249,7 @@ func parseHeader(frame []byte) (codec uint8, body []byte, err error) {
 	if len(frame) < headerSize {
 		return 0, nil, fmt.Errorf("%w: %d-byte frame is shorter than the header", ErrCorrupt, len(frame))
 	}
-	if !IsFrame(frame) {
+	if !hasMagic(frame) {
 		return 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, frame[:4])
 	}
 	if frame[4] != frameVersion {
@@ -382,12 +266,9 @@ func appendBlockHeader(dst []byte, compLen, rawLen, crc uint32) []byte {
 	return append(dst, h[:]...)
 }
 
-func parseBlockHeader(b []byte) (compLen, rawLen, crc uint32, rest []byte, err error) {
-	if len(b) < blockHeaderSize {
-		return 0, 0, 0, nil, fmt.Errorf("%w: truncated block header (%d bytes)", ErrCorrupt, len(b))
-	}
+// parseBlockHeader decodes the blockHeaderSize bytes at the start of b.
+func parseBlockHeader(b []byte) (compLen, rawLen, crc uint32) {
 	return binary.LittleEndian.Uint32(b[0:]),
 		binary.LittleEndian.Uint32(b[4:]),
-		binary.LittleEndian.Uint32(b[8:]),
-		b[blockHeaderSize:], nil
+		binary.LittleEndian.Uint32(b[8:])
 }

@@ -1,7 +1,7 @@
 package compress
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -226,204 +226,17 @@ func (zw *Writer) Close() error {
 	return zw.err
 }
 
-// Reader streams a frame from an underlying io.Reader, decompressing
-// blocks ahead of the consumer on a worker pool. A dispatcher goroutine
-// reads framed blocks sequentially (I/O-bound), fans them out to
-// workers, and delivers results in order through a bounded channel of
-// per-block result channels, so decode keeps up with reads on
-// multi-core hosts. Callers should Close the reader to release the pool
-// if they stop before EOF.
-type Reader struct {
-	out  chan chan wres // in-order stream of in-flight blocks
-	stop chan struct{}
-	cur  []byte
-	err  error
-}
-
-// NewReader starts a streaming decompressor over r. It fails immediately
-// if r does not begin with a compress frame header.
-func NewReader(r io.Reader, workers int) (*Reader, error) {
-	r = failpoint.Reader("compress/reader", r)
-	if workers <= 0 {
-		workers = Options{}.withDefaults().Workers
-	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short frame header: %v", ErrCorrupt, err)
-	}
-	codecID, _, err := parseHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	frameC, err := frameDecoder(codecID)
-	if err != nil {
-		return nil, err
-	}
-	zr := &Reader{
-		out:  make(chan chan wres, 2*workers),
-		stop: make(chan struct{}),
-	}
-	jobs := make(chan rjob)
-	for i := 0; i < workers; i++ {
-		go decodeWorker(jobs)
-	}
-	//lint:ignore goroutine-lifecycle Reader.dispatch parks on zr.stop and exits when Close signals it; the shared dispatch method name defeats call-graph resolution
-	go zr.dispatch(r, codecID, frameC, jobs)
-	return zr, nil
-}
-
-type rjob struct {
-	comp   []byte
-	rawLen int
-	crc    uint32
-	codec  Codec // nil for stored blocks
-	res    chan wres
-}
-
-func decodeWorker(jobs <-chan rjob) {
-	for j := range jobs {
-		raw := make([]byte, j.rawLen)
-		var err error
-		if j.codec == nil {
-			copy(raw, j.comp)
-		} else {
-			err = j.codec.Decompress(raw, j.comp)
-		}
-		if err == nil {
-			if got := crc32.ChecksumIEEE(raw); got != j.crc {
-				err = fmt.Errorf("%w: block CRC mismatch: %#08x != %#08x", ErrCorrupt, got, j.crc)
-			}
-		}
-		if err != nil {
-			j.res <- wres{err: err}
-		} else {
-			obsBlocksUnpacked.Inc()
-			j.res <- wres{framed: raw}
-		}
-	}
-}
-
-// dispatch reads framed blocks and fans them out until the terminator,
-// a read error, or Close.
-func (zr *Reader) dispatch(r io.Reader, codecID uint8, frameC Codec, jobs chan<- rjob) {
-	defer close(jobs)
-	var hdr [blockHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			zr.deliverErr(fmt.Errorf("%w: truncated frame: %w", ErrCorrupt, err))
-			return
-		}
-		compLen, rawLen, crc, _, err := parseBlockHeader(hdr[:])
-		if err != nil {
-			zr.deliverErr(err)
-			return
-		}
-		if rawLen == 0 {
-			if compLen != 0 || crc != 0 {
-				zr.deliverErr(fmt.Errorf("%w: malformed terminator", ErrCorrupt))
-				return
-			}
-			close(zr.out) // clean EOF
-			return
-		}
-		// All plausibility checks (length bounds, flag-bit validity,
-		// codec resolution) run before the coded bytes are allocated.
-		n, dec, err := resolveBlock(codecID, frameC, compLen, rawLen)
-		if err != nil {
-			zr.deliverErr(err)
-			return
-		}
-		comp := make([]byte, n)
-		if _, err := io.ReadFull(r, comp); err != nil {
-			zr.deliverErr(fmt.Errorf("%w: truncated block: %w", ErrCorrupt, err))
-			return
-		}
-		res := make(chan wres, 1)
-		select {
-		case zr.out <- res:
-		case <-zr.stop:
-			return
-		}
-		select {
-		case jobs <- rjob{comp: comp, rawLen: int(rawLen), crc: crc, codec: dec, res: res}:
-		case <-zr.stop:
-			return
-		}
-	}
-}
-
-func (zr *Reader) deliverErr(err error) {
-	res := make(chan wres, 1)
-	res <- wres{err: err}
-	select {
-	case zr.out <- res:
-		close(zr.out)
-	case <-zr.stop:
-	}
-}
-
-// Read implements io.Reader, returning io.EOF after the terminator.
-func (zr *Reader) Read(p []byte) (int, error) {
-	for zr.err == nil && len(zr.cur) == 0 {
-		res, ok := <-zr.out
-		if !ok {
-			zr.err = io.EOF
-			break
-		}
-		r := <-res
-		if r.err != nil {
-			zr.err = r.err
-			break
-		}
-		zr.cur = r.framed
-	}
-	if len(zr.cur) == 0 {
-		return 0, zr.err
-	}
-	n := copy(p, zr.cur)
-	zr.cur = zr.cur[n:]
-	return n, nil
-}
-
-// Close releases the dispatcher and worker pool. Safe to call more than
-// once; returns nil.
-func (zr *Reader) Close() error {
-	select {
-	case <-zr.stop:
-	default:
-		close(zr.stop)
-	}
-	// Drain any delivered blocks so workers never block on res sends.
-	for {
-		select {
-		case res, ok := <-zr.out:
-			if !ok {
-				return nil
-			}
-			select {
-			case <-res:
-			default:
-			}
-		default:
-			return nil
-		}
-	}
-}
-
-// MaybeReader sniffs r: if it begins with a compress frame, it returns a
-// parallel decompressing reader; otherwise it returns a reader that
-// replays r unchanged (v1 raw-stream fallback). The returned ReadCloser
-// must be Closed to release the worker pool in the compressed case.
+// MaybeReader reads r to the end and sniffs it like OpenStream: a frame
+// reads back decoded, anything else (a v1 raw stream) unchanged. Close
+// is a no-op.
 func MaybeReader(r io.Reader) (io.ReadCloser, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(frameMagic))
-	if err != nil || !hasMagic(head) {
-		// Short or raw stream: hand back the buffered reader untouched.
-		return io.NopCloser(br), nil
-	}
-	zr, err := NewReader(br, 0)
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return zr, nil
+	f, err := OpenStream(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		return nil, err
+	}
+	return io.NopCloser(f.SequentialReader()), nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dejaview/internal/failpoint"
@@ -163,15 +164,29 @@ func TestBlockTableMissing(t *testing.T) {
 	if HasBlockTable(frame) {
 		t.Fatal("table-less frame claims a table")
 	}
-	if _, err := OpenFrameBytes(frame); !errors.Is(err, ErrNoBlockTable) {
-		t.Fatalf("OpenFrameBytes = %v, want ErrNoBlockTable", err)
+	// It still opens: the block index comes from a header scan, and
+	// both read shapes decode the same bytes.
+	ff, err := OpenFrameBytes(frame)
+	if err != nil {
+		t.Fatalf("table-less OpenFrameBytes: %v", err)
+	}
+	buf := make([]byte, 100)
+	if _, err := ff.ReadAt(buf, 450); err != nil || !bytes.Equal(buf, tableTestData(1000)[450:550]) {
+		t.Fatalf("table-less ReadAt: %v", err)
+	}
+	if all, err := ff.ReadAll(); err != nil || !bytes.Equal(all, tableTestData(1000)) {
+		t.Fatalf("table-less ReadAll: %v", err)
+	}
+	// Losing the terminator leaves nothing to scan to.
+	if _, err := OpenFrameBytes(frame[:len(frame)-blockHeaderSize]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("terminator-less OpenFrameBytes = %v, want ErrCorrupt", err)
 	}
 	// Empty-input frame with a table still opens.
 	empty, err := Pack(nil, Options{BlockTable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := OpenFrameBytes(empty)
+	ff, err = OpenFrameBytes(empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,17 +210,26 @@ func TestBlockTableCorrupt(t *testing.T) {
 		"table crc":    mutate(func(b []byte) { b[len(b)-40] ^= 0xff }),
 		"footer off":   mutate(func(b []byte) { b[len(b)-20] ^= 0x01 }),
 		"footer count": mutate(func(b []byte) { b[len(b)-12] ^= 0x01 }),
-		"truncated":    frame[:len(frame)-1],
 	}
 	for name, b := range cases {
 		if _, err := OpenFrameBytes(b); err == nil {
 			t.Errorf("%s: corrupt table opened", name)
 		}
 	}
+	// A truncated footer loses the table, not the data: without the
+	// footer magic the frame is indexed by its block headers and still
+	// reads back exactly what was packed.
+	ff, err := OpenFrameBytes(frame[:len(frame)-1])
+	if err != nil {
+		t.Fatalf("truncated footer: %v", err)
+	}
+	if got, err := ff.ReadAll(); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("truncated footer: ReadAll = %v, or wrong bytes", err)
+	}
 	// Payload corruption surfaces at decode time through the CRC.
 	b := append([]byte(nil), frame...)
 	b[headerSize+blockHeaderSize+3] ^= 0xff
-	ff, err := OpenFrameBytes(b)
+	ff, err = OpenFrameBytes(b)
 	if err != nil {
 		t.Fatalf("open with corrupt payload: %v", err)
 	}
@@ -278,4 +302,130 @@ func FuzzBlockTable(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadRange pins the whole-stream read: any span reads back exactly,
+// resident blocks are copied rather than decoded again, the load hook
+// sees only the blocks actually decoded, and the cache is left exactly
+// as it was — no insertions, no hit or miss counted.
+func TestReadRange(t *testing.T) {
+	data := tableTestData(10000)
+	frame, err := Pack(data, Options{BlockSize: 1024, BlockTable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff, err := OpenFrameBytes(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := NewBlockCache(1 << 20)
+	ff.SetBlockCache(bc)
+	var loads int
+	ff.SetLoadHook(func(n int) { loads += n })
+	if _, err := ff.ReadAt(make([]byte, 10), 2100); err != nil { // block 2 resident
+		t.Fatal(err)
+	}
+	before := bc.Stats()
+	loads = 0
+	p := make([]byte, 7000-1500)
+	if err := ff.ReadRange(p, 1500); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p, data[1500:7000]) {
+		t.Fatal("ReadRange returned wrong bytes")
+	}
+	// Blocks 1..6 cover the span; block 2 was resident.
+	if loads != 5 {
+		t.Errorf("ReadRange decoded %d blocks, want 5", loads)
+	}
+	if after := bc.Stats(); after != before {
+		t.Errorf("ReadRange touched the cache: %+v -> %+v", before, after)
+	}
+	if all, err := ff.ReadAll(); err != nil || !bytes.Equal(all, data) {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	if err := ff.ReadRange(make([]byte, 2), int64(len(data))-1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadRange past the end = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenStream: the framed-versus-raw sniff. A frame opens framed; any
+// other bytes — including streams too short to hold the magic — read
+// back verbatim through every read shape.
+func TestOpenStream(t *testing.T) {
+	data := tableTestData(3000)
+	frame, err := Pack(data, Options{BlockSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		in     []byte
+		framed bool
+	}{
+		"frame": {frame, true},
+		"raw":   {data, false},
+		"short": {[]byte{1, 2}, false},
+		"empty": {nil, false},
+	} {
+		ff, err := OpenStream(bytes.NewReader(tc.in), int64(len(tc.in)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := tc.in
+		if tc.framed {
+			want = data
+		}
+		if ff.Framed() != tc.framed {
+			t.Errorf("%s: Framed = %v", name, ff.Framed())
+		}
+		all, err := ff.ReadAll()
+		if err != nil || !bytes.Equal(all, want) {
+			t.Errorf("%s: ReadAll = %v, or wrong bytes", name, err)
+		}
+		seq, err := io.ReadAll(ff.SequentialReader())
+		if err != nil || !bytes.Equal(seq, want) {
+			t.Errorf("%s: SequentialReader = %v, or wrong bytes", name, err)
+		}
+	}
+	// A stream with the magic must be a whole frame.
+	if _, err := OpenStream(bytes.NewReader(frame[:6]), 6); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("magic-only stream = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestConcurrentReads races demand reads and whole-stream reads of one
+// frame over a shared cache (run under -race): every reader sees the
+// packed bytes.
+func TestConcurrentReads(t *testing.T) {
+	data := tableTestData(40 << 10)
+	frame, err := Pack(data, Options{BlockSize: 4096, BlockTable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff, err := OpenFrameBytes(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.SetBlockCache(NewBlockCache(1 << 20))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				var got []byte
+				var err error
+				if (g+i)%2 == 0 {
+					got, err = ff.ReadAll()
+				} else {
+					got, err = io.ReadAll(ff.SequentialReader())
+				}
+				if err != nil || !bytes.Equal(got, data) {
+					t.Errorf("reader %d pass %d: %v, or wrong bytes", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

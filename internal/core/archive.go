@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,12 +30,10 @@ var (
 	obsArchiveOpens  = obs.Default.Counter("core.archive_opens")
 	obsArchiveSaveMS = obs.Default.Histogram("core.save_archive_ms", obs.LatencyBuckets...)
 	obsArchiveOpenMS = obs.Default.Histogram("core.open_archive_ms", obs.LatencyBuckets...)
-	// Lazy-open instrumentation: blocks demand-decoded after a lazy
-	// open, and the latency of the lazy open itself (metadata + index
-	// only; the e2e suite asserts it decodes strictly fewer blocks than
-	// an eager open).
-	obsLazyBlockLoads    = obs.Default.Counter("core.lazy_block_loads")
-	obsArchiveOpenLazyMS = obs.Default.Histogram("core.open_archive_lazy_ms", obs.LatencyBuckets...)
+	// Blocks of the screenshot log and checkpoint images decoded after
+	// open reads only what it needs (the e2e suite asserts an open plus
+	// one revive decodes strictly fewer blocks than the archive holds).
+	obsLazyBlockLoads = obs.Default.Counter("core.lazy_block_loads")
 	// Shared decoded-block cache outcomes across all open archives: a
 	// hit is a demand read served without decoding, a miss is a block
 	// decoded and inserted, and evicted_bytes counts decoded bytes pushed
@@ -135,8 +134,8 @@ func (s *Session) SaveArchive(dir string) error {
 }
 
 // stageTo writes one archive stream to a staged temp file, optionally
-// through the parallel block compressor (storage format v2); loadFrom
-// transparently reads both compressed and v1 raw streams. Each stream
+// through the parallel block compressor (storage format v2);
+// OpenArchive reads both compressed and v1 raw streams. Each stream
 // carries a `core/archive.save:<name>` failpoint.
 func stageTo(path, name string, compressed bool, save func(w io.Writer) error) (*atomicfile.File, error) {
 	if err := failpoint.Inject("core/archive.save:" + name); err != nil {
@@ -196,8 +195,7 @@ type Archive struct {
 	// most once while within it.
 	blocks *compress.BlockCache
 
-	// imagesFile backs demand-loaded checkpoint pages after a lazy
-	// open; nil when the archive was opened eagerly.
+	// imagesFile backs demand-loaded checkpoint pages until Close.
 	imagesFile *os.File
 }
 
@@ -210,29 +208,20 @@ type OpenOptions struct {
 }
 
 // OpenArchive loads an archive directory written by SaveArchive. The
-// open is lazy wherever the on-disk streams allow it: record metadata,
-// index, and file system load up front, while checkpoint page payloads
-// and screenshot blocks demand-decode through the frames' block tables.
-// Archives saved before the block table existed open exactly as before,
-// just eagerly. Call Close when done to release the backing file.
+// open reads only what it needs up front: archive metadata, the record's
+// commands and timeline, the index, the file system, and the checkpoint
+// image metadata. Checkpoint pages and screenshot blocks demand-decode
+// through compress.FrameFile as revive, browse, and playback touch
+// them — for archives saved before block tables too, whose frames are
+// indexed by their block headers. Call Close when done to release the
+// backing file.
 func OpenArchive(dir string) (*Archive, error) {
-	return openArchive(dir, true, OpenOptions{})
+	return OpenArchiveWith(dir, OpenOptions{})
 }
 
 // OpenArchiveWith is OpenArchive with explicit options (block-cache
 // budget; dvserve's -cache-bytes flag lands here).
 func OpenArchiveWith(dir string, opts OpenOptions) (*Archive, error) {
-	return openArchive(dir, true, opts)
-}
-
-// OpenArchiveEager is OpenArchive with all streams decoded up front —
-// the right choice when every checkpoint will be touched anyway (the
-// tier compactor's rewrite path, bulk verification).
-func OpenArchiveEager(dir string) (*Archive, error) {
-	return openArchive(dir, false, OpenOptions{})
-}
-
-func openArchive(dir string, lazy bool, opts OpenOptions) (*Archive, error) {
 	if err := failpoint.Inject("core/archive.open"); err != nil {
 		return nil, fmt.Errorf("core: archive open: %w", err)
 	}
@@ -240,9 +229,6 @@ func openArchive(dir string, lazy bool, opts OpenOptions) (*Archive, error) {
 	defer sp.Finish()
 	t0 := obs.StartTimer()
 	defer t0.Done(obsArchiveOpenMS)
-	if lazy {
-		defer t0.Done(obsArchiveOpenLazyMS)
-	}
 	meta, err := os.ReadFile(filepath.Join(dir, archiveMetaFile))
 	if err != nil {
 		return nil, err
@@ -256,37 +242,35 @@ func openArchive(dir string, lazy bool, opts OpenOptions) (*Archive, error) {
 		Height: int(binary.LittleEndian.Uint32(meta[20:])),
 		cache:  lru.New[int64, *display.Framebuffer](32),
 	}
-	if lazy {
-		budget := opts.CacheBytes
-		if budget == 0 {
-			budget = compress.DefaultBlockCacheBytes
-		}
-		if budget > 0 {
-			a.blocks = compress.NewBlockCache(budget)
-			a.blocks.SetHooks(
-				func(n int) { obsBlockCacheHits.Add(uint64(n)) },
-				func(n int) { obsBlockCacheMisses.Add(uint64(n)) },
-				func(b int64) { obsBlockCacheEvictedBytes.Add(uint64(b)) },
-			)
-		}
-		a.Store, err = record.OpenLazy(filepath.Join(dir, archiveRecordDir),
-			func(n int) { obsLazyBlockLoads.Add(uint64(n)) }, a.blocks)
-	} else {
-		a.Store, err = record.Open(filepath.Join(dir, archiveRecordDir))
+	budget := opts.CacheBytes
+	if budget == 0 {
+		budget = compress.DefaultBlockCacheBytes
 	}
+	if budget > 0 {
+		a.blocks = compress.NewBlockCache(budget)
+		a.blocks.SetHooks(
+			func(n int) { obsBlockCacheHits.Add(uint64(n)) },
+			func(n int) { obsBlockCacheMisses.Add(uint64(n)) },
+			func(b int64) { obsBlockCacheEvictedBytes.Add(uint64(b)) },
+		)
+	}
+	a.Store, err = record.OpenLazy(filepath.Join(dir, archiveRecordDir),
+		func(n int) { obsLazyBlockLoads.Add(uint64(n)) }, a.blocks)
 	if err != nil {
 		return nil, fmt.Errorf("core: archive record: %w", err)
 	}
-	if err := loadFrom(filepath.Join(dir, archiveIndexFile), func(f io.Reader) error {
-		a.Index, err = index.Load(f)
-		return err
-	}); err != nil {
+	idx, err := readArchiveStream(filepath.Join(dir, archiveIndexFile))
+	if err == nil {
+		a.Index, err = index.Load(bytes.NewReader(idx))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: archive index: %w", err)
 	}
-	if err := loadFrom(filepath.Join(dir, archiveFSFile), func(f io.Reader) error {
-		a.FS, err = lfs.Load(f)
-		return err
-	}); err != nil {
+	fsLog, err := readArchiveStream(filepath.Join(dir, archiveFSFile))
+	if err == nil {
+		a.FS, err = lfs.Load(bytes.NewReader(fsLog))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: archive fs: %w", err)
 	}
 
@@ -299,75 +283,38 @@ func openArchive(dir string, lazy bool, opts OpenOptions) (*Archive, error) {
 	kernel := vexec.NewKernel(a.clock)
 	cont := kernel.NewContainer(a.FS)
 	a.ckpt = vexec.NewCheckpointer(cont, a.FS, a.FS, vexec.DefaultCostModel(), 100)
-	loaded := false
-	if lazy {
-		loaded, err = a.openImagesLazy(filepath.Join(dir, archiveImagesFile))
-		if err != nil {
-			return nil, fmt.Errorf("core: archive images: %w", err)
-		}
-	}
-	if !loaded {
-		if err := loadFrom(filepath.Join(dir, archiveImagesFile), a.ckpt.LoadImages); err != nil {
-			return nil, fmt.Errorf("core: archive images: %w", err)
-		}
+	if err := a.openImages(filepath.Join(dir, archiveImagesFile)); err != nil {
+		return nil, fmt.Errorf("core: archive images: %w", err)
 	}
 	a.ckpt.DropCaches()
 	obsArchiveOpens.Inc()
 	return a, nil
 }
 
-// openImagesLazy tries the demand-loaded image path: a block table on
-// the images frame plus the metadata-first DEJVIMG2 layout. It reports
-// false (and no error) when the archive predates either, in which case
-// the caller falls back to the eager loader.
-func (a *Archive) openImagesLazy(path string) (bool, error) {
-	if err := failpoint.Inject("core/archive.open:" + filepath.Base(path)); err != nil {
-		return false, err
-	}
-	f, err := os.Open(path)
+// openImages loads the checkpoint image chain's metadata and keeps the
+// images file open as the demand-load source of its pages, drawing on
+// the archive's shared block cache.
+func (a *Archive) openImages(path string) error {
+	f, ff, err := openArchiveStream(path)
 	if err != nil {
-		return false, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		//lint:ignore dropped-error error path: the Stat error is reported; Close only releases a read-only handle
-		f.Close()
-		return false, err
-	}
-	ff, err := compress.OpenFrameAt(f, st.Size())
-	if err != nil {
-		//lint:ignore dropped-error error path: the frame-open error is reported; Close only releases a read-only handle
-		f.Close()
-		if errors.Is(err, compress.ErrNoBlockTable) {
-			return false, nil // table-less archive: eager fallback
-		}
-		return false, err
+		return err
 	}
 	ff.SetLoadHook(func(n int) { obsLazyBlockLoads.Add(uint64(n)) })
 	if a.blocks != nil {
 		ff.SetBlockCache(a.blocks)
 	}
-	fetch := func(off int64, dst []byte) error {
-		_, err := ff.ReadAt(dst, off)
-		return err
-	}
-	if err := a.ckpt.LoadImagesLazy(ff.SequentialReader(), ff.RawSize(), fetch); err != nil {
+	if err := a.ckpt.LoadImages(ff, ff.RawSize()); err != nil {
 		//lint:ignore dropped-error error path: the load error decides the outcome; Close only releases a read-only handle
 		f.Close()
-		if errors.Is(err, vexec.ErrCorruptImages) {
-			// Usually a v1 (inline-payload) image stream inside a framed
-			// file; the eager loader handles those.
-			return false, nil
-		}
-		return false, err
+		return err
 	}
 	a.imagesFile = f
-	return true, nil
+	return nil
 }
 
-// Close releases the archive's backing file handle (held only after a
-// lazy open). The archive must not be used afterwards if any checkpoint
-// pages are still unmaterialized.
+// Close releases the archive's backing file handle. The archive must
+// not be used afterwards if any checkpoint pages are still
+// unmaterialized.
 func (a *Archive) Close() error {
 	if a.imagesFile == nil {
 		return nil
@@ -377,31 +324,46 @@ func (a *Archive) Close() error {
 	return f.Close()
 }
 
-func loadFrom(path string, load func(r io.Reader) error) error {
+// openArchiveStream opens one archive stream file (each carries a
+// `core/archive.open:<name>` failpoint), telling a v2 frame from a v1
+// raw stream. The caller closes the file.
+func openArchiveStream(path string) (*os.File, *compress.FrameFile, error) {
 	if err := failpoint.Inject("core/archive.open:" + filepath.Base(path)); err != nil {
-		return err
+		return nil, nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, nil, err
+	}
+	st, err := f.Stat()
+	if err == nil {
+		var ff *compress.FrameFile
+		if ff, err = compress.OpenStream(f, st.Size()); err == nil {
+			return f, ff, nil
+		}
+	}
+	//lint:ignore dropped-error error path: the open error is reported; Close only releases a read-only handle
+	f.Close()
+	return nil, nil, err
+}
+
+// readArchiveStream decodes one whole archive stream.
+func readArchiveStream(path string) ([]byte, error) {
+	f, ff, err := openArchiveStream(path)
+	if err != nil {
+		return nil, err
 	}
 	//lint:ignore dropped-error read-only open; a Close error here cannot lose data
 	defer f.Close()
-	zr, err := compress.MaybeReader(f)
-	if err != nil {
-		return err
-	}
-	//lint:ignore dropped-error read path; decode errors surface through load, not Close
-	defer zr.Close()
-	return load(zr)
+	return ff.ReadAll()
 }
 
 // Checkpoints reports the number of archived checkpoints.
 func (a *Archive) Checkpoints() uint64 { return a.ckpt.Counter() }
 
 // BlockCacheStats snapshots the archive's shared decoded-block cache
-// accounting (zero value when the archive was opened eagerly or with
-// caching disabled).
+// accounting (zero value when the archive was opened with caching
+// disabled).
 func (a *Archive) BlockCacheStats() compress.BlockCacheStats {
 	if a.blocks == nil {
 		return compress.BlockCacheStats{}

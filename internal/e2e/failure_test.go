@@ -62,13 +62,13 @@ var openPoints = []struct {
 	{"record/open:timeline.dv", failpoint.Policy{}},
 	{"record/open:screens.dv", failpoint.Policy{}},
 	{"vexec/images.load", failpoint.Policy{}},
-	// Disk-level read failures: hard error mid-stream, a flipped bit in
-	// the compressed container (CRC must catch it), and a silently
-	// truncated stream (the frame terminator must catch it).
+	// Disk-level read failures on compressed blocks: hard error
+	// mid-stream, a flipped bit in the compressed container (the block
+	// CRC or header check must catch it), and a silently short read.
 	{"vexec/images.read", failpoint.Policy{AfterBytes: 128}},
-	{"compress/reader", failpoint.Policy{AfterBytes: 64}},
-	{"compress/reader", failpoint.Policy{Mode: failpoint.ModeCorrupt, AfterBytes: 96}},
-	{"compress/reader", failpoint.Policy{Mode: failpoint.ModeShortWrite, AfterBytes: 512}},
+	{"compress/readat", failpoint.Policy{AfterBytes: 64}},
+	{"compress/readat", failpoint.Policy{Mode: failpoint.ModeCorrupt, AfterBytes: 96}},
+	{"compress/readat", failpoint.Policy{Mode: failpoint.ModeShortWrite, AfterBytes: 512}},
 }
 
 // noTempLitter fails the test if any staging temp file survived under

@@ -86,6 +86,18 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
+// Peek returns the cached value and whether it was present without
+// refreshing its recency or counting a hit or miss.
+func (c *Cache[K, V]) Peek(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		return el.Value.(*entry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Put inserts or refreshes a value at cost 1, evicting least recently
 // used entries when over budget.
 func (c *Cache[K, V]) Put(k K, v V) {

@@ -1,13 +1,12 @@
 package record
 
-import "fmt"
-
 // Keyframe delta prefilter (storage format v2): the paper observes that
 // periodic screenshots are highly redundant — a desktop rarely changes
 // wholesale between keyframes — so before entropy coding, Save XORs each
 // keyframe's rows against the previous keyframe's. Unchanged rows become
-// runs of zero bytes that DEFLATE collapses to almost nothing; Open
-// inverts the transform exactly, so the round trip is byte-identical.
+// runs of zero bytes that DEFLATE collapses to almost nothing; opening
+// inverts the transform exactly (ensureScreensLocked, keyframe by
+// keyframe as the log decodes), so the round trip is byte-identical.
 //
 // The filtered screenshot payload is one filter-id byte followed by the
 // (possibly transformed) screenshot log. The 12-byte per-screenshot
@@ -56,34 +55,4 @@ func filterScreens(screens []byte, tl []TimelineEntry) []byte {
 		}
 	}
 	return out
-}
-
-// unfilterScreens inverts filterScreens, reconstructing the raw
-// screenshot log from a v2 payload in place.
-func unfilterScreens(payload []byte, tl []TimelineEntry) ([]byte, error) {
-	if len(payload) < 1 {
-		return nil, fmt.Errorf("%w: empty screenshot payload", ErrCorruptRecord)
-	}
-	id, body := payload[0], payload[1:]
-	switch id {
-	case filterNone:
-		return body, nil
-	case filterXorPrev:
-	default:
-		return nil, fmt.Errorf("%w: unknown screenshot filter %d", ErrCorruptRecord, id)
-	}
-	// Forward order: entry i-1 is already reconstructed when entry i
-	// XORs against it.
-	for i := 1; i < len(tl); i++ {
-		if !filterable(tl, i, len(body)) {
-			continue
-		}
-		cur, prev := tl[i], tl[i-1]
-		dst := body[cur.ScreenOff+screenshotHeaderSize : cur.ScreenOff+cur.ScreenLen]
-		src := body[prev.ScreenOff+screenshotHeaderSize : prev.ScreenOff+prev.ScreenLen]
-		for j := range dst {
-			dst[j] ^= src[j]
-		}
-	}
-	return body, nil
 }

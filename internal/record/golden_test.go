@@ -67,7 +67,7 @@ func TestV2GoldenIsV2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("golden %s: %v", name, err)
 		}
-		if !compress.IsFrame(b) {
+		if _, err := compress.FrameCodec(b); err != nil {
 			t.Errorf("%s: fixture stream is not a v2 frame", name)
 		}
 	}

@@ -1,47 +1,44 @@
 package record
 
-// Lazy streaming open: the screenshot log dominates a saved record, so
-// OpenLazy defers its decompression. Commands and timeline load eagerly
-// (search and seeking need them whole), while screenshot bytes decode
-// on demand through the frame's seekable block table — a prefix at a
+// Streaming open: the screenshot log dominates a saved record, so
+// OpenLazy — the one open — defers its decompression. Commands and
+// timeline load whole (search and seeking need them), while screenshot
+// bytes decode on demand through compress.FrameFile — a prefix at a
 // time, because the keyframe XOR prefilter chains each keyframe to its
 // predecessor, so reconstructing keyframe k needs keyframes 0..k-1.
 // Reviving or rendering near the start of a long record therefore
-// decodes strictly fewer blocks than an eager open.
+// decodes strictly fewer blocks than a full decode. Open is OpenLazy
+// followed by Materialize.
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"dejaview/internal/compress"
-	"dejaview/internal/failpoint"
 	"dejaview/internal/obs"
 	"dejaview/internal/simclock"
 )
 
-// lazyScreens is the demand-load state for the screenshot log of a
-// store created by OpenLazy. body grows as a prefix of the unfiltered
-// log; once complete, the store graduates to the eager representation.
+// lazyScreens is the demand-load state of the screenshot log. body
+// grows as a prefix of the unfiltered log; once complete, the store
+// keeps the log in Store.screenshots instead.
 type lazyScreens struct {
-	ff         *compress.FrameFile
-	total      int64  // unfiltered log length (payload minus filter byte)
-	body       []byte // materialized, unfiltered prefix
-	filter     byte
-	haveFilter bool
-	next       int // first timeline entry not yet unfiltered
+	ff     *compress.FrameFile
+	skip   int64 // stream bytes before the log: a v2 payload's filter-id byte
+	total  int64 // unfiltered log length
+	filter byte
+	body   []byte // materialized, unfiltered prefix
+	next   int    // first timeline entry not yet unfiltered
 }
 
-// OpenLazy is Open with demand-loaded screenshots. hook, when non-nil,
-// is invoked with the number of compressed blocks decoded by each
-// demand read (the core uses it to count lazy block loads). bc, when
+// OpenLazy opens a record previously written by Save — v2 compressed
+// containers with or without block tables, and v1 raw streams from
+// older saves — with demand-loaded screenshots. hook, when non-nil, is
+// invoked with the number of compressed screenshot blocks each read
+// decodes (the core uses it to count lazy block loads). bc, when
 // non-nil, replaces the screenshot frame's private decoded-block cache
 // with a shared one, so every stream of an archive draws on a single
-// byte budget. Records saved without a block table (or in the v1 raw
-// format) fall back to the eager path, so every archive remains
-// openable.
+// byte budget.
 func OpenLazy(dir string, hook func(blocks int), bc *compress.BlockCache) (*Store, error) {
 	t0 := obs.StartTimer()
 	sp := obs.DefaultTracer.Start("record.open")
@@ -51,43 +48,35 @@ func OpenLazy(dir string, hook func(blocks int), bc *compress.BlockCache) (*Stor
 	if err != nil {
 		return nil, err
 	}
-	if err := failpoint.Inject("record/open:" + screenshotsFile); err != nil {
-		return nil, fmt.Errorf("record: open %s: %w", screenshotsFile, err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, screenshotsFile))
+	// Screenshots last: undoing the keyframe prefilter needs the decoded
+	// timeline to locate keyframe boundaries.
+	ff, err := openStream(dir, screenshotsFile)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case !compress.IsFrame(raw):
-		s.screenshots = raw // v1 raw stream
-	default:
-		ff, err := compress.OpenFrameBytes(raw)
-		switch {
-		case err == nil:
-			if hook != nil {
-				ff.SetLoadHook(hook)
-			}
-			if bc != nil {
-				ff.SetBlockCache(bc)
-			}
-			total := ff.RawSize() - 1 // minus the filter-id byte
-			if total < 0 {
-				total = 0
-			}
-			s.lazy = &lazyScreens{ff: ff, total: total}
-		case errors.Is(err, compress.ErrNoBlockTable):
-			// Older table-less archive: decode everything now.
-			payload, err := compress.Unpack(raw)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrCorruptRecord, screenshotsFile, err)
-			}
-			if s.screenshots, err = unfilterScreens(payload, s.timeline); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorruptRecord, screenshotsFile, err)
+	if hook != nil {
+		ff.SetLoadHook(hook)
+	}
+	if bc != nil {
+		ff.SetBlockCache(bc)
+	}
+	lz := &lazyScreens{ff: ff, total: ff.RawSize(), filter: filterNone}
+	if ff.Framed() {
+		// A v2 payload leads with its filter-id byte.
+		if lz.total == 0 {
+			return nil, fmt.Errorf("%w: empty screenshot payload", ErrCorruptRecord)
 		}
+		var id [1]byte
+		if _, err := ff.ReadAt(id[:], 0); err != nil {
+			return nil, fmt.Errorf("%w: %s: %w", ErrCorruptRecord, screenshotsFile, err)
+		}
+		if id[0] != filterNone && id[0] != filterXorPrev {
+			return nil, fmt.Errorf("%w: unknown screenshot filter %d", ErrCorruptRecord, id[0])
+		}
+		lz.filter, lz.skip, lz.total = id[0], 1, lz.total-1
+	}
+	if lz.total > 0 {
+		s.lazy = lz
 	}
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -111,7 +100,7 @@ func (s *Store) screenshotSliceLocked(e TimelineEntry) ([]byte, error) {
 	if e.ScreenOff < 0 || e.ScreenLen < 0 || e.ScreenOff+e.ScreenLen > s.screensLenLocked() {
 		return nil, fmt.Errorf("record: screenshot entry out of range: %+v", e)
 	}
-	if err := s.ensureScreensLocked(e.ScreenOff + e.ScreenLen); err != nil {
+	if err := s.ensureScreensLocked(e.ScreenOff+e.ScreenLen, false); err != nil {
 		return nil, err
 	}
 	if s.lazy != nil {
@@ -122,61 +111,52 @@ func (s *Store) screenshotSliceLocked(e TimelineEntry) ([]byte, error) {
 
 // ensureScreensLocked materializes the unfiltered screenshot log up to
 // byte n, decoding only the compressed blocks that cover the missing
-// prefix and undoing the XOR prefilter for every entry that became
-// fully available. A no-op on eager stores.
-func (s *Store) ensureScreensLocked(n int64) error {
+// part and undoing the XOR prefilter for every entry that became fully
+// available. whole selects the whole-stream read (parallel, leaving the
+// block cache untouched) over a demand read. A no-op once the log is
+// materialized.
+func (s *Store) ensureScreensLocked(n int64, whole bool) error {
 	lz := s.lazy
 	if lz == nil {
 		return nil
 	}
-	if lz.total == 0 {
-		s.screenshots = nil
-		s.lazy = nil
-		return nil
-	}
-	if !lz.haveFilter {
-		var fb [1]byte
-		if _, err := lz.ff.ReadAt(fb[:], 0); err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrCorruptRecord, screenshotsFile, err)
-		}
-		if fb[0] != filterNone && fb[0] != filterXorPrev {
-			return fmt.Errorf("%w: unknown screenshot filter %d", ErrCorruptRecord, fb[0])
-		}
-		lz.filter = fb[0]
-		lz.haveFilter = true
-		lz.body = make([]byte, 0, lz.total)
-	}
-	if n > lz.total {
-		n = lz.total
-	}
+	n = min(n, lz.total)
 	if got := int64(len(lz.body)); got < n {
+		if lz.body == nil {
+			lz.body = make([]byte, 0, lz.total)
+		}
 		lz.body = lz.body[:n]
-		if _, err := lz.ff.ReadAt(lz.body[got:n], got+1); err != nil {
+		var err error
+		if whole {
+			err = lz.ff.ReadRange(lz.body[got:], got+lz.skip)
+		} else {
+			_, err = lz.ff.ReadAt(lz.body[got:], got+lz.skip)
+		}
+		if err != nil {
 			lz.body = lz.body[:got]
-			return fmt.Errorf("%w: %s: %v", ErrCorruptRecord, screenshotsFile, err)
+			return fmt.Errorf("%w: %s: %w", ErrCorruptRecord, screenshotsFile, err)
 		}
 		if lz.filter == filterXorPrev {
 			// Forward order keeps the invariant that entry next-1 is
 			// already reconstructed when entry next XORs against it.
-			for lz.next < len(s.timeline) {
-				e := s.timeline[lz.next]
-				if e.ScreenOff+e.ScreenLen > n {
+			for ; lz.next < len(s.timeline); lz.next++ {
+				cur := s.timeline[lz.next]
+				if cur.ScreenOff+cur.ScreenLen > n {
 					break
 				}
 				if lz.next > 0 && filterable(s.timeline, lz.next, int(lz.total)) {
-					cur, prev := s.timeline[lz.next], s.timeline[lz.next-1]
+					prev := s.timeline[lz.next-1]
 					dst := lz.body[cur.ScreenOff+screenshotHeaderSize : cur.ScreenOff+cur.ScreenLen]
 					src := lz.body[prev.ScreenOff+screenshotHeaderSize : prev.ScreenOff+prev.ScreenLen]
 					for j := range dst {
 						dst[j] ^= src[j]
 					}
 				}
-				lz.next++
 			}
 		}
 	}
 	if int64(len(lz.body)) == lz.total {
-		// Fully materialized: graduate to the eager representation.
+		// Fully materialized: the log no longer needs its stream.
 		s.screenshots = lz.body
 		s.lazy = nil
 	}
@@ -187,12 +167,12 @@ func (s *Store) ensureAllLocked() error {
 	if s.lazy == nil {
 		return nil
 	}
-	return s.ensureScreensLocked(s.lazy.total)
+	return s.ensureScreensLocked(s.lazy.total, true)
 }
 
-// Materialize forces a lazily opened store to decode its entire
-// screenshot log; afterwards the store behaves exactly like one loaded
-// by Open. A no-op on eager stores.
+// Materialize decodes whatever is left of the screenshot log in one
+// whole-stream read; afterwards the store holds the entire log in
+// memory. A no-op once the log is materialized.
 func (s *Store) Materialize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

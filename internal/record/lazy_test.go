@@ -2,8 +2,10 @@ package record
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dejaview/internal/compress"
@@ -72,8 +74,9 @@ func TestTableGoldenHasTable(t *testing.T) {
 }
 
 // TestOpenLazyBackwardCompat: lazy open must still accept the committed
-// table-less fixtures (v2 and adaptive) and the raw v1 fixture, falling
-// back to eager decode.
+// table-less fixtures (v2 and adaptive) and the raw v1 fixture — lazily
+// too, since a table-less frame is indexed by its block headers — and
+// materialize them to exactly the fixture content.
 func TestOpenLazyBackwardCompat(t *testing.T) {
 	for _, tc := range []struct {
 		dir     string
@@ -86,6 +89,13 @@ func TestOpenLazyBackwardCompat(t *testing.T) {
 		s, err := OpenLazy(tc.dir, nil, nil)
 		if err != nil {
 			t.Errorf("OpenLazy(%s): %v", tc.dir, err)
+			continue
+		}
+		if s.lazy == nil {
+			t.Errorf("OpenLazy(%s) decoded the whole screenshot log at open", tc.dir)
+		}
+		if err := s.Materialize(); err != nil {
+			t.Errorf("Materialize(%s): %v", tc.dir, err)
 			continue
 		}
 		assertStoresEqual(t, s, tc.scripts())
@@ -141,13 +151,48 @@ func TestOpenLazyPartialDecode(t *testing.T) {
 	assertStoresEqual(t, s, lzsFixtureStore())
 }
 
+// TestOpenRejectsBadScreenPayload: the one open checks the framed
+// screenshot payload's structure up front, even when an empty timeline
+// leaves nothing for validate to decode: an empty payload and an
+// unknown filter id are corruption, not an empty record.
+func TestOpenRejectsBadScreenPayload(t *testing.T) {
+	for _, tc := range []struct {
+		payload []byte
+		want    string
+	}{
+		{nil, "empty screenshot payload"},
+		{[]byte{7}, "unknown screenshot filter 7"},
+	} {
+		dir := t.TempDir()
+		if err := NewStore(8, 8).Save(dir); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := compress.Pack(tc.payload, compress.Options{BlockTable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, screenshotsFile), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, open := range map[string]func(string) (*Store, error){
+			"Open":     Open,
+			"OpenLazy": func(d string) (*Store, error) { return OpenLazy(d, nil, nil) },
+		} {
+			_, err := open(dir)
+			if !errors.Is(err, ErrCorruptRecord) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s with payload %v: err = %v, want %q", name, tc.payload, err, tc.want)
+			}
+		}
+	}
+}
+
 // fbBytes fingerprints a framebuffer via its canonical encoding.
 func fbBytes(fb *display.Framebuffer) []byte {
 	return display.EncodeScreenshot(nil, fb)
 }
 
-// TestOpenLazyMatchesEager: full materialization equals the eager open
-// bit for bit, and a re-save round-trips.
+// TestOpenLazyMatchesEager: full materialization equals the in-memory
+// store that was saved bit for bit, and a re-save round-trips.
 func TestOpenLazyMatchesEager(t *testing.T) {
 	src := lzsFixtureStore()
 	dir := t.TempDir()
@@ -158,6 +203,14 @@ func TestOpenLazyMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	materialized, err := OpenLazy(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := materialized.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	assertStoresEqual(t, materialized, src)
 	dir2 := t.TempDir()
 	if err := lazy.Save(dir2); err != nil { // forces materialization
 		t.Fatal(err)

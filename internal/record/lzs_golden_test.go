@@ -67,10 +67,11 @@ func TestLZSGoldenStats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("golden %s: %v", name, err)
 		}
-		st, err := compress.Stats(b)
+		ff, err := compress.OpenFrameBytes(b)
 		if err != nil {
-			t.Fatalf("%s: Stats: %v", name, err)
+			t.Fatalf("%s: OpenFrameBytes: %v", name, err)
 		}
+		st := ff.Stats()
 		if st.Codec != compress.CodecAuto {
 			t.Errorf("%s: frame codec %d, want CodecAuto", name, st.Codec)
 		}

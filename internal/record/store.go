@@ -10,6 +10,7 @@
 package record
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,8 +69,8 @@ type Store struct {
 	screenshots []byte
 	timeline    []TimelineEntry
 
-	// lazy holds the demand-load state of a store created by OpenLazy;
-	// nil once the screenshot log is fully materialized (see lazy.go).
+	// lazy holds the demand-load state of an opened store's screenshot
+	// log; nil once the log is fully materialized (see lazy.go).
 	lazy *lazyScreens
 
 	// comp configures Save's block compression (zero value = defaults).
@@ -374,9 +375,9 @@ func encodeTimeline(timeline []TimelineEntry) []byte {
 	return tl
 }
 
-// readStream loads one record file, transparently unpacking the v2
-// compressed container and passing v1 raw streams through unchanged.
-func readStream(dir, name string) ([]byte, error) {
+// openStream opens one record file, telling the v2 compressed container
+// from a v1 raw stream.
+func openStream(dir, name string) (*compress.FrameFile, error) {
 	if err := failpoint.Inject("record/open:" + name); err != nil {
 		return nil, fmt.Errorf("record: open %s: %w", name, err)
 	}
@@ -384,18 +385,28 @@ func readStream(dir, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !compress.IsFrame(b) {
-		return b, nil // v1 raw stream
-	}
-	out, err := compress.Unpack(b)
+	ff, err := compress.OpenStream(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptRecord, name, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorruptRecord, name, err)
 	}
-	return out, nil
+	return ff, nil
+}
+
+// readStream loads one whole record file.
+func readStream(dir, name string) ([]byte, error) {
+	ff, err := openStream(dir, name)
+	if err != nil {
+		return nil, err
+	}
+	b, err := ff.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrCorruptRecord, name, err)
+	}
+	return b, nil
 }
 
 // openBase loads the metadata header, command log, and timeline — the
-// parts both the eager and lazy open paths need up front.
+// parts every open needs whole.
 func openBase(dir string) (*Store, error) {
 	if err := failpoint.Inject("record/open:" + metaFile); err != nil {
 		return nil, fmt.Errorf("record: open: %w", err)
@@ -438,42 +449,16 @@ func openBase(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Open loads a record previously written by Save, accepting both the v2
-// compressed container and v1 raw streams from older saves.
+// Open loads a record previously written by Save whole: OpenLazy
+// followed by Materialize.
 func Open(dir string) (*Store, error) {
-	t0 := obs.StartTimer()
-	sp := obs.DefaultTracer.Start("record.open")
-	defer sp.Finish()
-	defer t0.Done(obsOpenMS)
-	s, err := openBase(dir)
+	s, err := OpenLazy(dir, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Screenshots last: undoing the keyframe prefilter needs the decoded
-	// timeline to locate keyframe boundaries.
-	if err := failpoint.Inject("record/open:" + screenshotsFile); err != nil {
-		return nil, fmt.Errorf("record: open %s: %w", screenshotsFile, err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, screenshotsFile))
-	if err != nil {
+	if err := s.Materialize(); err != nil {
 		return nil, err
 	}
-	if compress.IsFrame(raw) {
-		payload, err := compress.Unpack(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorruptRecord, screenshotsFile, err)
-		}
-		s.screenshots, err = unfilterScreens(payload, s.timeline)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		s.screenshots = raw // v1 raw stream
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	obsOpens.Inc()
 	return s, nil
 }
 

@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"bytes"
 	"compress/flate"
 	"encoding/json"
 	"fmt"
@@ -225,8 +226,20 @@ func verifyStaged(dir string) error {
 	}
 	//lint:ignore dropped-error read-only verification open; a Close error cannot lose data
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	ff, err := compress.OpenStream(f, st.Size())
+	if err != nil {
+		return err
+	}
+	raw, err := ff.ReadAll()
+	if err != nil {
+		return err
+	}
 	ck := vexec.NewArchiveCheckpointer(vexec.DefaultCostModel(), 100)
-	return ck.LoadImages(f)
+	return ck.LoadImages(bytes.NewReader(raw), int64(len(raw)))
 }
 
 // applyManifest renames staged rewrites into place. Entries whose

@@ -202,11 +202,11 @@ type Checkpointer struct {
 	// yet folded into stats.CompressedBytes (joinEstimatesLocked).
 	estimating []*Image
 
-	// Lazy-open state (LoadImagesLazy): pages whose data has not been
-	// read yet, keyed to their pool index, plus the demand-load source.
-	// materializeLocked drains lazyIdx as pages are touched.
+	// Lazy-open state (LoadImages): pages whose data has not been read
+	// yet, keyed to their pool index, plus the decoded stream they are
+	// read from. materializeLocked drains lazyIdx as pages are touched.
 	lazyIdx     map[*page]int
-	pageFetch   func(off int64, dst []byte) error
+	pageSrc     io.ReaderAt
 	payloadBase int64
 }
 

@@ -36,7 +36,7 @@ func TestPtraceStateRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck2 := NewCheckpointer(c, fs, fs, DefaultCostModel(), 10)
-	if err := ck2.LoadImages(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := loadImages(ck2, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	img, err := ck2.Image(res.Image.Counter)

@@ -71,8 +71,8 @@ func (ck *Checkpointer) RestoreOpts(counter uint64, restoredFS FileSystem, opts 
 	// chain, stopping at (and including) the most recent full image.
 	pageMap, chain := collectPages(img)
 	// Lazily opened chains demand-load page bytes now — only the pages
-	// the consulted chain actually references, which is what makes a
-	// lazy archive open cheaper than an eager one. Fetching in payload
+	// the consulted chain actually references, which is what makes an
+	// archive open cheaper than decoding every page. Fetching in payload
 	// order walks the compressed blocks front to back, so each block
 	// decodes once even when the chain outgrows the block cache.
 	if len(ck.lazyIdx) > 0 {

@@ -2,7 +2,10 @@ package vexec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"dejaview/internal/compress"
@@ -107,7 +110,7 @@ func TestRetainPreservesKeptCheckpoints(t *testing.T) {
 	clk2 := simclock.New()
 	k2 := NewKernel(clk2)
 	ck2 := NewCheckpointer(k2.NewContainer(fs), fs, fs, DefaultCostModel(), 5)
-	if err := ck2.LoadImages(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := loadImages(ck2, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if ck2.Counter() != ck.Counter() {
@@ -152,23 +155,24 @@ func TestLazyLoadImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fetched int
-	fetch := func(off int64, dst []byte) error {
-		fetched++
-		_, err := ff.ReadAt(dst, off)
-		return err
-	}
+	src := &countingReaderAt{r: ff}
 	ck2 := NewCheckpointer(c.kernel.NewContainer(fs), fs, fs, DefaultCostModel(), 4)
-	if err := ck2.LoadImagesLazy(ff.SequentialReader(), ff.RawSize(), fetch); err != nil {
+	if err := ck2.LoadImages(src, ff.RawSize()); err != nil {
 		t.Fatal(err)
 	}
-	if fetched != 0 {
-		t.Fatalf("lazy load fetched %d pages before any restore", fetched)
+	for _, c := range ck2.order {
+		for _, ip := range ck2.images[c].pages {
+			if ip.pg.data != nil {
+				t.Fatal("lazy load read page bytes before any restore")
+			}
+		}
 	}
+	// Count page fetches from here on: restores are the only readers.
+	src.reads = 0
 	if got := reviveFingerprint(t, ck2, fs, 5, addr, pid, n+2); got != want[5] {
 		t.Fatalf("lazy revive of 5 mismatch:\n  %s\n  %s", got, want[5])
 	}
-	mid := fetched
+	mid := src.reads
 	if mid == 0 {
 		t.Fatal("restore materialized no pages")
 	}
@@ -177,7 +181,7 @@ func TestLazyLoadImages(t *testing.T) {
 	if got := reviveFingerprint(t, ck2, fs, n, addr, pid, n+2); got != want[n] {
 		t.Fatalf("lazy revive of %d mismatch", n)
 	}
-	if fetched == mid {
+	if src.reads == mid {
 		t.Fatal("newer chain restored without fetching its extra pages")
 	}
 
@@ -191,10 +195,70 @@ func TestLazyLoadImages(t *testing.T) {
 	clk3 := simclock.New()
 	k3 := NewKernel(clk3)
 	ck3 := NewCheckpointer(k3.NewContainer(fs), fs, fs, DefaultCostModel(), 4)
-	if err := ck3.LoadImages(bytes.NewReader(buf2.Bytes())); err != nil {
+	if err := loadImages(ck3, buf2.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got := reviveFingerprint(t, ck3, fs, n, addr, pid, n+2); got != want[n] {
 		t.Fatalf("re-saved chain revive mismatch")
+	}
+}
+
+// countingReaderAt counts the reads made through it.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	reads int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestLoadImagesV1 keeps the legacy DEJVIMG1 layout (each page's bytes
+// inline after its generation) loadable, framed or raw: it revives to
+// the same state as the chain it was built from, and trailing bytes
+// after the chain are corruption.
+func TestLoadImagesV1(t *testing.T) {
+	const n = 6
+	c, fs, ck, addr, pid := buildRetainChain(t, n, 3)
+	want := reviveFingerprint(t, ck, fs, n, addr, pid, n+2)
+
+	var buf bytes.Buffer
+	if err := ck.SaveImages(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := compress.Unpack(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Splice the DEJVIMG2 stream into the inline layout: magic, counter,
+	// lastGen and the pool size head both; v2 then lists every page's
+	// generation, and v1 follows each with the page's bytes.
+	pool := int(binary.LittleEndian.Uint32(v2[24:]))
+	base := len(v2) - pool*PageSize
+	v1 := binary.LittleEndian.AppendUint64(nil, imgMagic)
+	v1 = append(v1, v2[8:28]...)
+	for i := 0; i < pool; i++ {
+		v1 = append(v1, v2[28+8*i:36+8*i]...)
+		v1 = append(v1, v2[base+i*PageSize:base+(i+1)*PageSize]...)
+	}
+	v1 = append(v1, v2[28+8*pool:base]...)
+
+	framed, err := compress.Pack(v1, compress.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, stored := range map[string][]byte{"raw": v1, "framed": framed} {
+		ck2 := NewCheckpointer(c.kernel.NewContainer(fs), fs, fs, DefaultCostModel(), 3)
+		if err := loadImages(ck2, stored); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := reviveFingerprint(t, ck2, fs, n, addr, pid, n+2); got != want {
+			t.Errorf("%s: v1 revive mismatch:\n  %s\n  %s", name, got, want)
+		}
+	}
+	ck3 := NewCheckpointer(c.kernel.NewContainer(fs), fs, fs, DefaultCostModel(), 3)
+	if err := loadImages(ck3, append(v1, 0)); !errors.Is(err, ErrCorruptImages) {
+		t.Errorf("v1 chain with a trailing byte: %v, want ErrCorruptImages", err)
 	}
 }

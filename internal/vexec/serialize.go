@@ -23,16 +23,17 @@ import (
 // Since storage format v2 the stream is wrapped in a parallel block
 // compressor (internal/compress): memory pages dominate the image chain
 // and compress extremely well, mirroring the paper's gzip'd checkpoint
-// files. LoadImages sniffs the stream and still reads v1 uncompressed
+// files. LoadImages reads the decoded stream, so callers open the file
+// through compress.OpenStream, which still reads v1 uncompressed
 // chains.
 //
 // The DEJVIMG2 layout splits metadata from payload: counters, page
 // generations, and every image's process metadata and page references
 // come first, and the raw page bytes sit in one contiguous section at
-// the tail (page i at rawSize - (nPages-i)*PageSize). A lazy open reads
-// only the metadata prefix and demand-loads pages through the frame's
-// block table (LoadImagesLazy); a sequential reader still consumes the
-// whole stream (LoadImages handles both layouts).
+// the tail (page i at rawSize - (nPages-i)*PageSize). LoadImages reads
+// only the metadata prefix and demand-loads pages from the stream as
+// restores touch them; the legacy DEJVIMG1 layout keeps pages inline
+// and loads whole.
 
 const (
 	imgMagic  = 0x31474D49564A4544 // "DEJVIMG1" (legacy: pages inline)
@@ -175,20 +176,21 @@ func writeProcImage(bw *binio.Writer, pi *ProcImage) {
 	}
 }
 
-// imageMeta is the decoded metadata section shared by the eager and
-// lazy loaders: everything but the page payload.
+// imageMeta is the decoded metadata section of an image stream.
 type imageMeta struct {
 	counter uint64
 	lastGen uint64
-	pages   []*page // data filled by the caller (inline read or lazy fetch)
+	pages   []*page // data read inline (DEJVIMG1) or demand-loaded (DEJVIMG2)
 	images  map[uint64]*Image
 	order   []uint64
 }
 
-// readImageMeta decodes counters, page generations, and image entries
+// readImageMeta decodes counters, the page pool, and image entries
 // (with page references resolved against the pool), re-links parents,
-// and validates every image. Page data is NOT read.
-func readImageMeta(br *binio.Reader) (*imageMeta, error) {
+// and validates every image. Page data is read only when inline (the
+// legacy DEJVIMG1 layout stores each page's bytes after its
+// generation).
+func readImageMeta(br *binio.Reader, inline bool) (*imageMeta, error) {
 	m := &imageMeta{}
 	m.counter = br.U64()
 	m.lastGen = br.U64()
@@ -203,6 +205,9 @@ func readImageMeta(br *binio.Reader) (*imageMeta, error) {
 	m.pages = make([]*page, nPages)
 	for i := range m.pages {
 		m.pages[i] = &page{gen: br.U64()}
+		if inline {
+			m.pages[i].data = br.Bytes(PageSize)
+		}
 	}
 
 	nImages := br.U32()
@@ -277,93 +282,69 @@ func (ck *Checkpointer) installLocked(m *imageMeta) {
 
 // LoadImages restores a checkpoint image chain saved with SaveImages
 // into this checkpointer (which must be freshly created: existing images
-// are replaced). It reads both the DEJVIMG2 metadata-first layout and
-// the legacy DEJVIMG1 inline layout, eagerly in either case.
-func (ck *Checkpointer) LoadImages(r io.Reader) error {
+// are replaced). r holds the decoded stream — size bytes, such as a
+// compress.FrameFile over images.dv. A DEJVIMG2 stream loads only its
+// metadata section and leaves r as the demand-load source for page
+// bytes: page i lives at raw offset size - (nPages-i)*PageSize, and the
+// metadata must end exactly there. Pages are materialized on first use
+// (restore consults only the target's incremental chain; a full re-save
+// touches everything). A legacy DEJVIMG1 chain, pages inline, loads
+// whole through the same sequential cursor over r.
+func (ck *Checkpointer) LoadImages(r io.ReaderAt, size int64) error {
 	if err := failpoint.Inject("vexec/images.load"); err != nil {
 		return fmt.Errorf("vexec: load images: %w", err)
 	}
-	r = failpoint.Reader("vexec/images.read", r)
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	zr, err := compress.MaybeReader(r)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrCorruptImages, err)
-	}
-	//lint:ignore dropped-error read path; decode errors surface through the stream reads, not Close
-	defer zr.Close()
-	br := binio.NewReader(zr)
+	br := binio.NewReader(failpoint.Reader("vexec/images.read", io.NewSectionReader(r, 0, size)))
 	magic := br.U64()
 	if err := br.Err(); err != nil {
 		return err
 	}
-	switch magic {
-	case imgMagic:
-		return ck.loadImagesV1(br)
-	case imgMagic2:
-		m, err := readImageMeta(br)
-		if err != nil {
-			return err
-		}
-		// Payload section: page bytes in pool order.
-		for _, p := range m.pages {
-			p.data = br.Bytes(PageSize)
-			if br.Err() != nil {
-				return fmt.Errorf("%w: page payload: %v", ErrCorruptImages, br.Err())
-			}
-		}
+	if magic != imgMagic && magic != imgMagic2 {
+		return fmt.Errorf("%w: bad magic", ErrCorruptImages)
+	}
+	m, err := readImageMeta(br, magic == imgMagic)
+	if err != nil {
+		return err
+	}
+	if magic == imgMagic {
 		if err := probeEOF(br); err != nil {
 			return err
 		}
 		ck.installLocked(m)
 		return nil
-	default:
-		return fmt.Errorf("%w: bad magic", ErrCorruptImages)
 	}
-}
-
-// LoadImagesLazy loads only the metadata section of a DEJVIMG2 stream
-// from r (the decompressed sequential prefix) and registers fetch as
-// the demand-load source for page bytes: rawSize is the stream's total
-// uncompressed length, and page i's bytes live at raw offset
-// rawSize - (nPages-i)*PageSize. Pages are materialized on first use
-// (restore consults only the target's incremental chain; a full re-save
-// touches everything).
-func (ck *Checkpointer) LoadImagesLazy(r io.Reader, rawSize int64, fetch func(off int64, dst []byte) error) error {
-	if err := failpoint.Inject("vexec/images.load"); err != nil {
-		return fmt.Errorf("vexec: load images: %w", err)
+	payloadBase := size - int64(len(m.pages))*PageSize
+	if br.Offset() != payloadBase {
+		return fmt.Errorf("%w: metadata ends at %d, but %d pages leave %d bytes for it",
+			ErrCorruptImages, br.Offset(), len(m.pages), payloadBase)
 	}
-	r = failpoint.Reader("vexec/images.read", r)
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	br := binio.NewReader(r)
-	if magic := br.U64(); br.Err() != nil || magic != imgMagic2 {
-		if err := br.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: not a lazy-loadable image stream", ErrCorruptImages)
-	}
-	m, err := readImageMeta(br)
-	if err != nil {
-		return err
-	}
-	if int64(len(m.pages))*PageSize > rawSize {
-		return fmt.Errorf("%w: %d pages exceed the %d-byte stream", ErrCorruptImages, len(m.pages), rawSize)
-	}
-	payloadBase := rawSize - int64(len(m.pages))*PageSize
 	ck.installLocked(m)
 	ck.lazyIdx = make(map[*page]int, len(m.pages))
 	for i, p := range m.pages {
 		ck.lazyIdx[p] = i
 	}
-	ck.pageFetch = fetch
+	ck.pageSrc = r
 	ck.payloadBase = payloadBase
 	return nil
 }
 
+// Materialize loads every page still waiting on its demand-load source,
+// in payload order, so each compressed block is read once.
+func (ck *Checkpointer) Materialize() error {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	lazy := make([]*page, len(ck.lazyIdx))
+	for p, i := range ck.lazyIdx {
+		lazy[i] = p
+	}
+	return ck.materializeLocked(lazy)
+}
+
 // materializeLocked fetches the data of any still-lazy page in pgs from
-// the checkpointer's page source. Pages loaded eagerly (or created
-// live) pass through untouched.
+// the checkpointer's page source. Pages already holding data (read
+// inline, fetched before, or created live) pass through untouched.
 func (ck *Checkpointer) materializeLocked(pgs []*page) error {
 	for _, p := range pgs {
 		if p.data != nil {
@@ -374,99 +355,11 @@ func (ck *Checkpointer) materializeLocked(pgs []*page) error {
 			return fmt.Errorf("%w: page has neither data nor a lazy source", ErrCorruptImages)
 		}
 		buf := make([]byte, PageSize)
-		if err := ck.pageFetch(ck.payloadBase+int64(idx)*PageSize, buf); err != nil {
+		if _, err := ck.pageSrc.ReadAt(buf, ck.payloadBase+int64(idx)*PageSize); err != nil {
 			return fmt.Errorf("vexec: lazy page %d: %w", idx, err)
 		}
 		p.data = buf
 		delete(ck.lazyIdx, p)
-	}
-	return nil
-}
-
-// loadImagesV1 reads the legacy inline layout (magic already consumed).
-func (ck *Checkpointer) loadImagesV1(br *binio.Reader) error {
-	counter := br.U64()
-	lastGen := br.U64()
-
-	nPages := br.U32()
-	if br.Err() == nil && nPages > 1<<26 {
-		return fmt.Errorf("%w: %d pages", ErrCorruptImages, nPages)
-	}
-	pages := make([]*page, nPages)
-	for i := range pages {
-		gen := br.U64()
-		data := br.Bytes(PageSize)
-		if br.Err() != nil {
-			return br.Err()
-		}
-		pages[i] = &page{data: data, gen: gen}
-	}
-
-	nImages := br.U32()
-	if br.Err() == nil && nImages > 1<<24 {
-		return fmt.Errorf("%w: %d images", ErrCorruptImages, nImages)
-	}
-	images := make(map[uint64]*Image, nImages)
-	var order []uint64
-	parents := make(map[uint64]uint64)
-	for i := uint32(0); i < nImages && br.Err() == nil; i++ {
-		img := &Image{}
-		img.Counter = br.U64()
-		img.Time = simclock.Time(br.U64())
-		img.Full = br.Bool()
-		parent := br.U64()
-		img.FSEpoch = lfs.Epoch(br.U64())
-		img.MemBytes = int64(br.U64())
-		img.MetaBytes = int64(br.U64())
-		img.compressed = int64(br.U64())
-		img.cached = br.Bool()
-
-		nProcs := br.U32()
-		for p := uint32(0); p < nProcs && br.Err() == nil; p++ {
-			img.Procs = append(img.Procs, readProcImage(br))
-		}
-		nImgPages := br.U32()
-		for p := uint32(0); p < nImgPages && br.Err() == nil; p++ {
-			pid := PID(br.U64())
-			addr := br.U64()
-			ref := br.U32()
-			if int(ref) >= len(pages) {
-				return fmt.Errorf("%w: page ref %d of %d", ErrCorruptImages, ref, len(pages))
-			}
-			img.pages = append(img.pages, imagePage{pid: pid, addr: addr, pg: pages[ref]})
-		}
-		images[img.Counter] = img
-		order = append(order, img.Counter)
-		if parent != 0 {
-			parents[img.Counter] = parent
-		}
-	}
-	if err := br.Err(); err != nil {
-		return fmt.Errorf("vexec: load images: %w", err)
-	}
-	if err := probeEOF(br); err != nil {
-		return err
-	}
-	// Re-link parent pointers and validate.
-	for c, pc := range parents {
-		p, ok := images[pc]
-		if !ok {
-			return fmt.Errorf("%w: image %d references missing parent %d", ErrCorruptImages, c, pc)
-		}
-		images[c].Parent = p
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, c := range order {
-		if err := images[c].Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrCorruptImages, err)
-		}
-	}
-	ck.counter = counter
-	ck.lastGen = lastGen
-	ck.images = images
-	ck.order = order
-	if len(order) > 0 {
-		ck.last = images[order[len(order)-1]]
 	}
 	return nil
 }

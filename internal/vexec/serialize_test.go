@@ -46,7 +46,7 @@ func TestImageSerializationRoundTrip(t *testing.T) {
 	k2 := NewKernel(clk2)
 	c2 := k2.NewContainer(fs)
 	ck2 := NewCheckpointer(c2, fs, fs, DefaultCostModel(), 3)
-	if err := ck2.LoadImages(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := loadImages(ck2, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if ck2.Counter() != ck.Counter() {
@@ -138,13 +138,64 @@ func TestImagePageDeduplication(t *testing.T) {
 	}
 }
 
+// loadImages loads a saved image stream into ck the way an archive open
+// does: sniff the stored bytes into a decoded stream, then load that.
+func loadImages(ck *Checkpointer, stored []byte) error {
+	ff, err := compress.OpenStream(bytes.NewReader(stored), int64(len(stored)))
+	if err != nil {
+		return err
+	}
+	return ck.LoadImages(ff, ff.RawSize())
+}
+
+// TestLoadImagesRejectsPayloadGap: the metadata section must end exactly
+// where the page payload starts. A stream with bytes between the two
+// would shift every page, so it is corrupt rather than loadable.
+func TestLoadImagesRejectsPayloadGap(t *testing.T) {
+	c, _, ck, _ := newCkptSession(t, 10)
+	p, _ := c.Spawn(0, "app")
+	addr, _ := p.Mem().Mmap(4*PageSize, PermRead|PermWrite)
+	for i := 0; i < 4; i++ {
+		if err := p.Mem().Write(addr+uint64(i)*PageSize, []byte{byte(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ck.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ck.SaveImages(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := compress.Unpack(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := map[*page]bool{}
+	for _, c := range ck.order {
+		for _, ip := range ck.images[c].pages {
+			pages[ip.pg] = true
+		}
+	}
+	base := len(raw) - len(pages)*PageSize
+	gapped := append(append(append([]byte(nil), raw[:base]...), make([]byte, 64)...), raw[base:]...)
+	fresh := NewArchiveCheckpointer(DefaultCostModel(), 10)
+	if err := fresh.LoadImages(bytes.NewReader(raw), int64(len(raw))); err != nil {
+		t.Fatalf("intact stream: %v", err)
+	}
+	fresh = NewArchiveCheckpointer(DefaultCostModel(), 10)
+	if err := fresh.LoadImages(bytes.NewReader(gapped), int64(len(gapped))); !errors.Is(err, ErrCorruptImages) {
+		t.Fatalf("stream with a 64-byte gap before the payload: %v, want ErrCorruptImages", err)
+	}
+}
+
 func TestLoadImagesRejectsGarbage(t *testing.T) {
 	clk := simclock.New()
 	k := NewKernel(clk)
 	fs := lfs.New()
 	c := k.NewContainer(fs)
 	ck := NewCheckpointer(c, fs, fs, DefaultCostModel(), 10)
-	if err := ck.LoadImages(bytes.NewReader([]byte("garbage stream"))); err == nil {
+	if err := loadImages(ck, []byte("garbage stream")); err == nil {
 		t.Error("garbage accepted")
 	}
 
@@ -167,19 +218,19 @@ func TestLoadImagesRejectsGarbage(t *testing.T) {
 	// the logical stream must fail, measured against the table-less end.
 	logical := len(compress.TrimTable(full))
 	for _, cut := range []int{4, 20, logical / 2, logical - 2} {
-		if err := ck.LoadImages(bytes.NewReader(full[:cut])); err == nil {
+		if err := loadImages(ck, full[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	// Losing only table bytes leaves a complete logical stream: the
-	// sequential loader still accepts it (lazy opens fall back instead).
-	if err := ck.LoadImages(bytes.NewReader(full[:len(full)-2])); err != nil {
+	// Losing only table bytes leaves a complete logical stream: without
+	// its footer the frame is indexed by a header scan and still loads.
+	if err := loadImages(ck, full[:len(full)-2]); err != nil {
 		t.Errorf("table-only truncation rejected: %v", err)
 	}
-	if err := ck.LoadImages(bytes.NewReader(full)); err != nil {
+	if err := loadImages(ck, full); err != nil {
 		t.Errorf("valid stream rejected after failures: %v", err)
 	}
-	if !errors.Is(ck.LoadImages(bytes.NewReader(append([]byte("BADMAGIC"), full[8:]...))), ErrCorruptImages) {
+	if !errors.Is(loadImages(ck, append([]byte("BADMAGIC"), full[8:]...)), ErrCorruptImages) {
 		t.Error("bad magic not reported as corruption")
 	}
 }
